@@ -64,3 +64,33 @@ def test_lu_counters_profiles_byte_identical_to_golden():
     cluster.teardown()
     assert hashlib.sha256(payload.encode()).hexdigest() \
         == _GOLD["lu_counters_sha256"]
+
+
+def test_lu_trace_records_byte_identical_to_golden():
+    """The same LU run with tracing built in: every task's kernel trace
+    records (stamp, event name, kind, value) and its loss count, node by
+    node and pid by pid, are golden-pinned, so the span-replay paths
+    that write trace records cannot drift unnoticed."""
+    from repro.core.config import KtauBuildConfig
+
+    params = LuParams(niters=3, iter_compute_ns=8 * MSEC, halo_bytes=8192,
+                      sweep_msg_bytes=2048, inorm=2)
+    cluster = make_chiba(nnodes=4, seed=1,
+                         ktau=KtauBuildConfig.full().with_tracing(1 << 16))
+    job = launch_mpi_job(cluster, 8, lu_app(params),
+                         placement=block_placement(2, 8))
+    job.run(limit_s=600)
+    digest = hashlib.sha256()
+    for node in cluster.nodes:
+        ktau = node.kernel.ktau
+        pool = {**ktau.zombies, **ktau.tasks}
+        for pid in sorted(pool):
+            data = pool[pid]
+            digest.update(f"{node.name} {pid} {data.comm} "
+                          f"{data.trace.lost_count}\n".encode())
+            for rec in data.trace.peek():
+                name = ktau.registry.name_of(rec.event_id)
+                digest.update(f"{rec.cycles} {name} {int(rec.kind)} "
+                              f"{rec.value}\n".encode())
+    cluster.teardown()
+    assert digest.hexdigest() == _GOLD["lu_trace_sha256"]
