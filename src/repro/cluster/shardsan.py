@@ -20,7 +20,7 @@ Attaching a :class:`ShardIsolationSanitizer` to a :class:`Cluster`:
 2. **Establishes context at node entry surfaces.**  Per-instance
    wrappers on each node's scheduler (``start_task``/``_advance``/
    ``wake``), IRQ controller (``deliver``), NIC (``transmit_group``) and
-   measurement system (``entry``/``exit``/``atomic``) set the current
+   measurement system (``entry``/``exit``/``atomic``/``replay``) set the current
    shard to the owning node for the duration of the call — after
    asserting the caller's context is compatible.
 3. **Declares exchange points.**  ``Kernel.net_rx`` is the sanctioned
@@ -172,7 +172,7 @@ class ShardIsolationSanitizer:
         # through the declared exchange point below).
         self._guard(kernel.nic, "transmit_group", owner)
         # Measurement: the canonical shard-local mutable state.
-        for name in ("entry", "exit", "atomic"):
+        for name in ("entry", "exit", "atomic", "replay"):
             self._guard(kernel.ktau, name, owner)
         # Declared exchange point: frames arriving from a foreign shard.
         self._establish_only(kernel, "net_rx", owner)

@@ -22,16 +22,45 @@ When instrumentation is compiled in but disabled at boot/runtime the only
 cost is a flag check (a load + branch), modelled as a small constant.
 
 Sampling is batched through numpy for speed; the model is deterministic
-given its RNG stream.
+given its RNG stream.  Each refill stores the batch as compact integer
+cells, so a single draw is one index (no numpy scalar boxing), and bulk
+span replay can consume many draws at once with :meth:`OverheadModel.take`
+while matching op-by-op sampling exactly.  (A Python list would index a
+little faster, but at ~36 bytes a cell it would add ~14 MB to a
+128-node run; the narrowest integer array instead holds a batch and its
+per-sample nanosecond column in half the float64 buffer's space.)
 """
 
 from __future__ import annotations
 
+from array import array
+from typing import Optional
+
 import numpy as np
+
+from repro.sim.clock import ns_for_cycles_array
+
+
+def _packed(values: np.ndarray) -> array:
+    """``values`` (integers) as a flat ``array`` of the narrowest cells
+    that hold them all: a 128-node run keeps 512 of these buffers live."""
+    low, high = int(values.min()), int(values.max())
+    for code in "hiq":
+        bound = 1 << (8 * array(code).itemsize - 1)
+        if -bound <= low and high < bound:
+            break
+    out = array(code, (0,)) * len(values)  # sized exactly, unlike frombytes
+    np.frombuffer(out, dtype=code)[:] = values
+    return out
 
 
 class _GammaTail:
-    """``min + Gamma(k, theta)`` sampler with batched draws."""
+    """``min + Gamma(k, theta)`` sampler with batched draws.
+
+    Both tails of one :class:`OverheadModel` share its RNG, so the order
+    in which they refill is part of the stream; :meth:`take` refills
+    exactly when the same number of :meth:`sample` calls would.
+    """
 
     def __init__(self, rng: np.random.Generator, minimum: float, mean: float, std: float,
                  batch: int = 4096):
@@ -45,16 +74,60 @@ class _GammaTail:
         self.std = float(std)
         self._rng = rng
         self._batch = batch
-        self._buf = np.empty(0)
+        self._buf = array("i")
         self._pos = 0
+        #: per-sample ``ns_for_cycles(sample + extra)`` of the current
+        #: batch on an ``_ns_hz`` clock, built on first bulk use
+        self._ns = array("i")
+        self._ns_hz = 0.0
+        self._ns_extra = 0
+
+    def _refill(self) -> None:
+        draws = self.minimum + self._rng.gamma(self.k, self.theta, size=self._batch)
+        self._buf = _packed(draws.astype(np.int64))  # int() truncation
+        self._pos = 0
+        self._ns_hz = 0.0
+
+    @property
+    def remaining(self) -> int:
+        """Draws left before the next refill."""
+        return len(self._buf) - self._pos
 
     def sample(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self.minimum + self._rng.gamma(self.k, self.theta, size=self._batch)
-            self._pos = 0
-        value = self._buf[self._pos]
-        self._pos += 1
-        return int(value)
+        pos = self._pos
+        if pos >= len(self._buf):
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._buf[pos]
+
+    def take(self, n: int, hz: float, extra: int) -> tuple[int, int]:
+        """Consume the next ``n`` samples as one bulk charge.
+
+        Returns ``(cycles, ns)``: the sum of ``sample + extra`` and the
+        sum of each one's ``CycleClock.ns_for_cycles`` on an ``hz`` clock
+        -- rounded per sample, exactly as ``n`` single charges would be.
+        """
+        cycles = n * extra
+        ns = 0
+        while n:
+            pos = self._pos
+            avail = len(self._buf) - pos
+            if not avail:
+                self._refill()
+                continue
+            if self._ns_hz != hz or self._ns_extra != extra:
+                self._ns = _packed(ns_for_cycles_array(
+                    np.frombuffer(self._buf, dtype=self._buf.typecode)
+                    .astype(np.int64) + extra, hz))
+                self._ns_hz = hz
+                self._ns_extra = extra
+            end = pos + (n if n < avail else avail)
+            cycles += sum(self._buf[pos:end])
+            ns += sum(self._ns[pos:end])
+            n -= end - pos
+            self._pos = end
+        return cycles, ns
 
     def sample_array(self, n: int) -> np.ndarray:
         """Draw ``n`` samples at once (used by the Table 4 harness)."""
@@ -106,6 +179,23 @@ class OverheadModel:
     def atomic_cycles(self) -> int:
         """Cost of one atomic-event measurement (modelled like a start)."""
         return self._start.sample()
+
+    def take(self, n_start: int, n_stop: int, hz: float,
+             extra: int) -> Optional[tuple[int, int]]:
+        """Bulk form of ``n_start`` start/atomic and ``n_stop`` stop draws.
+
+        Returns ``(cycles, ns)`` summed as :meth:`_GammaTail.take` does,
+        or ``None`` -- consuming nothing -- when both tails would refill
+        inside the batch: their refill order on the shared RNG then
+        depends on how the draws interleave, which only op-by-op
+        sampling reproduces.
+        """
+        start, stop = self._start, self._stop
+        if n_start > start.remaining and n_stop > stop.remaining:
+            return None
+        c1, ns1 = start.take(n_start, hz, extra)
+        c2, ns2 = stop.take(n_stop, hz, extra)
+        return c1 + c2, ns1 + ns2
 
     # -- bulk access for the Table 4 experiment --------------------------
     def sample_start_array(self, n: int) -> np.ndarray:

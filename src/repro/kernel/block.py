@@ -73,13 +73,16 @@ class BlockDevice:
             self.requests_completed += 1
             kernel = self.kernel
             cpu = kernel.irq.route(flow_hash=None)
-            trees = [
-                KSpan("do_IRQ", self.irq_cost_ns,
-                      children=[KSpan("ide_intr", 2 * USEC)]),
-                KSpan("end_request", self.end_request_cost_ns,
-                      atomics=[("io.bio_bytes", nbytes)]),
-            ]
-            finish = kernel.irq.deliver(cpu, trees)
+            key = ("blk", self.irq_cost_ns, self.end_request_cost_ns)
+            template = kernel.templates.get(key)
+            if template is None:
+                template = kernel.templates[key] = kernel.irq.compile([
+                    KSpan("do_IRQ", self.irq_cost_ns,
+                          children=[KSpan("ide_intr", 2 * USEC)]),
+                    KSpan("end_request", self.end_request_cost_ns,
+                          atomics=[("io.bio_bytes", 0)]),
+                ])[0]
+            finish = kernel.irq.deliver_compiled(cpu, template, (nbytes,))
 
             def wake_waiters() -> None:
                 if waiter_wq is not None:

@@ -9,7 +9,10 @@ net_rx_action { tcp_v4_rcv ... } }``).  Delivering a tree to a CPU:
    KTAU's process-centric attribution of interrupt work to whatever
    process context it happens to run in;
 2. records KTAU entry/exit events for every span with explicit timestamps
-   (the whole sequence is computed synchronously at delivery time);
+   (the whole sequence is computed synchronously at delivery time).
+   Trees are compiled once into a :class:`~repro.core.measurement.SpanTemplate`
+   (:meth:`IrqController.compile`) and replayed in one bulk measurement
+   call; hot paths (receive groups, timer ticks) cache their templates;
 3. *stretches* whatever the CPU was executing by the tree's total cost
    plus the measurement overhead the recording charged — the mechanism by
    which interrupt load (and instrumentation perturbation) delays
@@ -22,9 +25,11 @@ flow-hash balancing across online CPUs (``irq_balance`` enabled).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.core.counters import rates_for_path
+from repro.core.measurement import SpanTemplate
+from repro.core.tracebuf import TraceKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
@@ -39,7 +44,8 @@ if TYPE_CHECKING:  # pragma: no cover
 #: module) or ``module.function``.
 IRQ_CONTEXT_ROOTS: tuple[str, ...] = (
     "IrqController.deliver",
-    "IrqController._record",
+    "IrqController.deliver_compiled",
+    "Kernel.replay_spans",
     "Kernel.net_rx",
     "Kernel._net_rx_bh",
     "Nic.transmit_group",
@@ -120,6 +126,46 @@ class IrqController:
         return flow_hash % ncpus
 
     # ------------------------------------------------------------------
+    # Compilation
+    # ------------------------------------------------------------------
+    def compile(self, trees: "KSpan | list[KSpan]") -> tuple[SpanTemplate, list[int]]:
+        """Compile span trees, run back to back, into a template.
+
+        Returns the template and the atomic values the trees carry, in
+        op order.  Own cost is charged before children, so exclusive
+        time per span equals its ``cost_ns``; atomics fire just before
+        their span's exit.  With the counters extension built in, each
+        span advances the target task's simulated PMCs by its own cost
+        at its per-path rates between the KTAU entry and exit (the
+        ``pmc`` payload of its entry op) -- interrupt time stretches the
+        victim's burst as *stolen* time, never charged by
+        ``_charge_time``, so this is the only place it reaches the
+        counters.
+        """
+        if isinstance(trees, KSpan):
+            trees = [trees]
+        ops: list[tuple] = []
+        values: list[int] = []
+        t = 0
+        for tree in trees:
+            t = self._flatten(tree, t, ops, values)
+        total = sum(tree.total_ns() for tree in trees)
+        return SpanTemplate.compile(ops, total), values
+
+    def _flatten(self, span: KSpan, t: int, ops: list, values: list) -> int:
+        cost_cycles = self.kernel.clock.cycles_for_ns(span.cost_ns)
+        rates = span.rates if span.rates is not None else rates_for_path(span.name)
+        ops.append((TraceKind.ENTRY, span.name, t, (cost_cycles, rates)))
+        t += cost_cycles
+        for child in span.children:
+            t = self._flatten(child, t, ops, values)
+        for atomic_name, value in span.atomics:
+            ops.append((TraceKind.ATOMIC, atomic_name, t, None))
+            values.append(value)
+        ops.append((TraceKind.EXIT, span.name, t, None))
+        return t
+
+    # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
     def deliver(self, cpu_idx: int, trees: "KSpan | list[KSpan]",
@@ -130,8 +176,13 @@ class IrqController:
         follow-on actions (e.g. waking a socket reader) at the moment the
         bottom half actually finishes.
         """
-        if isinstance(trees, KSpan):
-            trees = [trees]
+        template, values = self.compile(trees)
+        return self.deliver_compiled(cpu_idx, template, values, count_irq)
+
+    def deliver_compiled(self, cpu_idx: int, template: SpanTemplate,
+                         values: Sequence[int] = (),
+                         count_irq: bool = True) -> int:
+        """:meth:`deliver` for a template from :meth:`compile`."""
         kernel = self.kernel
         cpu = kernel.sched.cpus[cpu_idx]
         target: "Task" = cpu.current if cpu.current is not None else kernel.swapper
@@ -142,9 +193,8 @@ class IrqController:
 
         if data is not None:
             before = data.pending_overhead_ns
-            t = kernel.clock.cycles_at(now_ns)
-            for tree in trees:
-                t = self._record(data, tree, t, target)
+            kernel.replay_spans(target, template,
+                                kernel.clock.cycles_at(now_ns), values)
             overhead_ns = data.pending_overhead_ns - before
             # Interrupt-context measurement cost is paid immediately (it
             # extends the interrupt, not the task's next burst).
@@ -152,39 +202,7 @@ class IrqController:
         else:  # unpatched (vanilla) kernel: no recording, no overhead
             overhead_ns = 0
 
-        total = sum(tree.total_ns() for tree in trees) + overhead_ns
+        total = template.total_ns + overhead_ns
         if cpu.current is not None:
             kernel.sched.stretch(cpu_idx, total)
         return now_ns + total
-
-    def _record(self, data, tree: KSpan, t_cycles: int,
-                task: Optional["Task"] = None) -> int:
-        """Record KTAU events for ``tree`` starting at ``t_cycles``.
-
-        Returns the end timestamp in cycles.  Own cost is charged before
-        children, so exclusive time per span equals its ``cost_ns``.
-
-        When the counters extension is built in, each span advances the
-        target task's simulated PMCs by its own cost at the span's
-        per-path rates *between* the KTAU entry and exit snapshots, so
-        per-event inclusive counter deltas land in the counter profile —
-        and since interrupt time stretches the victim's burst as
-        *stolen* time (never charged by ``_charge_time``), this is the
-        only place it reaches the counters.
-        """
-        kernel = self.kernel
-        point = kernel.point(tree.name)
-        kernel.ktau.entry(data, point, at_cycles=t_cycles)
-        cost_cycles = kernel.clock.cycles_for_ns(tree.cost_ns)
-        if task is not None and cost_cycles and kernel.params.ktau.counters:
-            task.counters.advance(
-                cost_cycles, True,
-                tree.rates if tree.rates is not None
-                else rates_for_path(tree.name))
-        t = t_cycles + cost_cycles
-        for child in tree.children:
-            t = self._record(data, child, t, task)
-        for atomic_name, value in tree.atomics:
-            kernel.ktau.atomic(data, kernel.atomic_point(atomic_name), value, at_cycles=t)
-        kernel.ktau.exit(data, point, at_cycles=t)
-        return t

@@ -1,4 +1,4 @@
-"""TCP path cost model and span-tree builders.
+"""TCP path cost model and span templates.
 
 The receive path for a frame group of *k* segments is::
 
@@ -22,11 +22,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.core.counters import rates_for_path, scale_miss_rate
+from repro.core.measurement import SpanTemplate
+from repro.core.tracebuf import TraceKind
 from repro.kernel.irq import KSpan
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kernel.kernel import Kernel
-    from repro.kernel.net.socket import StreamSocket
     from repro.kernel.task import Task
 
 #: Fraction of the per-segment TX cost attributed to each routine.
@@ -42,11 +43,17 @@ def rx_cost_ns(kernel: "Kernel", mismatch: bool) -> int:
     return cost
 
 
-def build_rx_trees(kernel: "Kernel", sock: "StreamSocket", segments: list[int],
-                   irq_cpu: int) -> list[KSpan]:
-    """Interrupt-context span trees for an arriving frame group."""
+def rx_template(kernel: "Kernel", nsegs: int, mismatch: bool) -> SpanTemplate:
+    """The interrupt-context span template of an ``nsegs``-segment frame
+    group (atomic values: the segment sizes), cached per kernel.
+
+    ``mismatch``: the servicing CPU differs from the consumer's.
+    """
+    key = ("rx", nsegs, mismatch)
+    template = kernel.templates.get(key)
+    if template is not None:
+        return template
     net = kernel.params.net
-    mismatch = irq_cpu != sock.consumer_cpu
     per_seg = rx_cost_ns(kernel, mismatch)
     # The PMU dimension of the cache-locality model: a mismatched
     # receive dilates processing time *and* inflates the L2 miss rate by
@@ -56,14 +63,51 @@ def build_rx_trees(kernel: "Kernel", sock: "StreamSocket", segments: list[int],
     if mismatch:
         rx_rates = scale_miss_rate(rx_rates, net.cache_mismatch_factor)
     rcv_spans = [
-        KSpan("tcp_v4_rcv", per_seg, atomics=[("net.pkt_rx_bytes", seg)],
+        KSpan("tcp_v4_rcv", per_seg, atomics=[("net.pkt_rx_bytes", 0)],
               rates=rx_rates)
-        for seg in segments
+        for _ in range(nsegs)
     ]
     hard = KSpan("do_IRQ", net.irq_cost_ns, children=[KSpan("eth_interrupt", 1_000)])
     soft = KSpan("do_softirq", net.softirq_dispatch_cost_ns,
                  children=[KSpan("net_rx_action", 1_000, children=rcv_spans)])
-    return [hard, soft]
+    template = kernel.templates[key] = kernel.irq.compile([hard, soft])[0]
+    return template
+
+
+def tx_template(kernel: "Kernel", nsegs: int) -> SpanTemplate:
+    """The transmit span template of an ``nsegs``-segment burst (atomic
+    values: the segment sizes), cached per kernel.
+
+    Per segment: ``tcp_sendmsg { ip_queue_xmit { dev_queue_xmit } }``
+    with the ``net.pkt_tx_bytes`` atomic just before the exits, stamped
+    back to back over the burst.  Each entry carries its leg's PMC
+    advance for the per-op path.
+    """
+    key = ("tx", nsegs)
+    template = kernel.templates.get(key)
+    if template is not None:
+        return template
+    cost = kernel.params.net.tcp_tx_cost_ns
+    cycles_for_ns = kernel.clock.cycles_for_ns
+    first_ns = int(cost * TX_SPLIT[0][1])
+    second_ns = int(cost * TX_SPLIT[1][1])
+    legs = zip(TX_SPLIT, (first_ns, second_ns, cost - first_ns - second_ns),
+               (0, cycles_for_ns(first_ns),
+                cycles_for_ns(first_ns) + cycles_for_ns(second_ns)))
+    entries = [(name, offset, (cycles_for_ns(leg_ns), rates_for_path(name)))
+               for (name, _), leg_ns, offset in legs]
+    seg_cycles = cycles_for_ns(cost)
+    ops = []
+    for i in range(nsegs):
+        base = i * seg_cycles
+        end = base + seg_cycles
+        ops += [(TraceKind.ENTRY, name, base + offset, pmc)
+                for name, offset, pmc in entries]
+        ops.append((TraceKind.ATOMIC, "net.pkt_tx_bytes", end, None))
+        ops += [(TraceKind.EXIT, name, end, None)
+                for name, _, _ in reversed(entries)]
+    template = kernel.templates[key] = SpanTemplate.compile(ops, cost * nsegs)
+    return template
 
 
 def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
@@ -72,49 +116,11 @@ def record_tx_spans(kernel: "Kernel", task: "Task", segments: list[int]) -> int:
     Timestamps are laid out explicitly over the burst the caller is about
     to execute, so the sender-side kernel profile and trace show the real
     nesting (``tcp_sendmsg`` under the open ``sock_sendmsg`` span) even
-    though the whole group is simulated as one kernel-compute burst.
+    though the whole group is simulated as one kernel-compute burst.  The
+    cost is folded into the caller's upcoming kernel burst, so the PMC
+    advance of the per-op path is marked as already done.
     """
-    data = task.ktau
-    net = kernel.params.net
-    counters_on = kernel.params.ktau.counters
-    total = 0
-    t = kernel.clock.read()
-    for seg in segments:
-        cost = net.tcp_tx_cost_ns
-        total += cost
-        if data is None:
-            continue
-        offsets = [(name, int(cost * frac)) for name, frac in TX_SPLIT]
-
-        # Advance each leg's PMCs after its entry snapshot so the
-        # inclusive counter deltas nest exactly like the time spans; the
-        # cost itself is folded into the caller's upcoming kernel burst,
-        # so mark the cycles as already advanced (pmc_ahead_cycles).
-        def _advance(leg_name: str, leg_ns: int) -> None:
-            leg_cycles = kernel.clock.cycles_for_ns(leg_ns)
-            if leg_cycles:
-                task.counters.advance(leg_cycles, True,
-                                      rates_for_path(leg_name))
-                task.pmc_ahead_cycles += leg_cycles
-
-        # tcp_sendmsg { ip_queue_xmit { dev_queue_xmit } }
-        kernel.ktau.entry(data, kernel.point("tcp_sendmsg"), at_cycles=t)
-        if counters_on:
-            _advance("tcp_sendmsg", offsets[0][1])
-        t_inner = t + kernel.clock.cycles_for_ns(offsets[0][1])
-        kernel.ktau.entry(data, kernel.point("ip_queue_xmit"), at_cycles=t_inner)
-        if counters_on:
-            _advance("ip_queue_xmit", offsets[1][1])
-        t_inner2 = t_inner + kernel.clock.cycles_for_ns(offsets[1][1])
-        kernel.ktau.entry(data, kernel.point("dev_queue_xmit"), at_cycles=t_inner2)
-        if counters_on:
-            _advance("dev_queue_xmit",
-                     cost - offsets[0][1] - offsets[1][1])
-        t_end = t + kernel.clock.cycles_for_ns(cost)
-        kernel.ktau.atomic(data, kernel.atomic_point("net.pkt_tx_bytes"), seg,
-                           at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("dev_queue_xmit"), at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("ip_queue_xmit"), at_cycles=t_end)
-        kernel.ktau.exit(data, kernel.point("tcp_sendmsg"), at_cycles=t_end)
-        t = t_end
-    return total
+    if task.ktau is not None:
+        kernel.replay_spans(task, tx_template(kernel, len(segments)),
+                            kernel.clock.read(), segments, pmc_ahead=True)
+    return kernel.params.net.tcp_tx_cost_ns * len(segments)

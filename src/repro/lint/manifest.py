@@ -61,6 +61,11 @@ SHARD_ALLOWLIST: dict[str, tuple[str, str]] = {
         "singleton",
         "instrumentation-point declaration table; built at import time "
         "and read-only afterwards (KTAU3xx audits its contents)"),
+    "repro.core.measurement._TEMPLATES": (
+        "singleton",
+        "intern table of immutable span templates keyed by their full op "
+        "list; an entry is a pure function of its key, so every shard "
+        "builds or finds the same value"),
     "repro.core.counters.PATH_RATES": (
         "singleton",
         "per-path PMC rate declaration table; built at import time and "

@@ -107,9 +107,12 @@ class OProfileSampler:
         else:
             buffer.append(Sample(kernel.engine.now, cpu_idx, pid, comm, symbol))
         # the profiling interrupt itself costs CPU in the current context
-        kernel.irq.deliver(cpu_idx,
-                           KSpan("do_IRQ", self.sample_cost_ns),
-                           count_irq=False)
+        key = ("oprofile", self.sample_cost_ns)
+        template = kernel.templates.get(key)
+        if template is None:
+            template = kernel.templates[key] = kernel.irq.compile(
+                KSpan("do_IRQ", self.sample_cost_ns))[0]
+        kernel.irq.deliver_compiled(cpu_idx, template, count_irq=False)
 
     # ------------------------------------------------------------------
     def drain(self) -> list[Sample]:

@@ -12,6 +12,8 @@ estimation).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.sim.engine import Engine
 from repro.sim.units import SEC
 
@@ -85,3 +87,12 @@ class CycleClock:
     def cycles_for_ns(self, ns: int) -> int:
         """Number of cycles in a duration of ``ns`` nanoseconds."""
         return int(round(ns * self.hz / SEC))
+
+
+def ns_for_cycles_array(cycles: np.ndarray, hz: float) -> np.ndarray:
+    """:meth:`CycleClock.ns_for_cycles` over an int64 array, elementwise.
+
+    Same expression in float64 with round-half-even, hence the same
+    integer per element as the scalar method.
+    """
+    return np.rint(cycles * SEC / hz).astype(np.int64)
