@@ -19,25 +19,27 @@ artifact (``BENCH_pr10.json`` at the repo root is the committed record):
    metrics enabled (the KTAU-style always-on-counters cost, expected to
    be noise), plus the harness metrics snapshot of an instrumented
    churn + LU replication.
-4. **Cluster monitor** — the churn loop re-run while a live
-   :class:`~repro.monitor.ClusterMonitor` (attached daemons, subscribed
-   snapshot callbacks) exists in the process, proving the monitor sits
-   off the dispatch hot path; plus the honest price of monitoring an
-   actual LU run (the per-period KTAUD daemon cost the paper predicts).
-5. **Fault machinery** — the churn loop and an LU run with a
-   :class:`~repro.faults.FaultInjector` armed on an *empty* plan vs
-   without, including a byte-identity check on the LU profiles: a run
-   with no faults due must be unchanged, not merely similar.
+
+Rows 4-7 time one small LU job (build, launch, run, harvest) with a
+feature off vs on, interleaved rep by rep:
+
+4. **Cluster monitor** — the honest price of monitoring an LU run with
+   a live :class:`~repro.monitor.ClusterMonitor` (the per-period KTAUD
+   daemon cost the paper predicts).
+5. **Fault machinery** — a :class:`~repro.faults.FaultInjector` armed
+   on an *empty* plan vs none, with a byte-identity check on the LU
+   profiles: a run with no faults due must be unchanged, not merely
+   similar.
 6. **Lost-time attribution** — a monitored LU run with the streaming
    bottleneck attributor (:mod:`repro.monitor.bottleneck`) off vs on,
    again with profile byte-identity checked: the attributor is
    host-side analysis and must not perturb the simulation.
-7. **Simulated PMCs** — an LU run with the counters build option off vs
-   on.  The counter model is pure per-charge integer arithmetic with no
-   events of its own, so the wall-time delta should be small and —
-   after stripping the counter sections from the counters-on export —
-   the *time* profiles must byte-compare identical: counting cache
-   misses must never change what the clock says.
+7. **Simulated PMCs** — the counters build option off vs on.  The
+   counter model is pure per-charge integer arithmetic with no events
+   of its own, so the wall-time delta should be small and — after
+   stripping the counter sections from the counters-on export — the
+   *time* profiles must byte-compare identical: counting cache misses
+   must never change what the clock says.
 
 Honesty note: speedup is reported next to ``cpu_count`` and a host
 fingerprint (CPU model, python version).  On a single-CPU host the
@@ -307,45 +309,45 @@ def bench_cancel_churn(events: int, rounds: int) -> dict:
     }
 
 
-def bench_interceptor_overhead(events: int, rounds: int) -> dict:
-    """Churn with the schedule interceptor detached vs armed with a
-    pass-through hook, interleaved.
+def _lu_run(*, seed: int = 1, ktau=None, monitor=None,
+            faults: bool = False) -> tuple[float, str]:
+    """One small LU job on a 4-node Chiba slice: build, launch, run,
+    harvest.  ``monitor`` (a ``MonitorConfig``) attaches a cluster
+    monitor; ``faults`` arms an injector on an empty plan.  Returns the
+    wall time and the canonical profile JSON."""
+    from repro.faults import FaultInjector, FaultPlan
+    from repro.monitor import ClusterMonitor
 
-    Detached is the structural zero: arming swaps the engine's class, so
-    the detached schedule path contains no hook test at all.  The armed
-    row prices the real cost of shardsan-style wrapping (one extra call
-    per schedule); ``armed_passthrough`` minus ``detached`` is what a
-    user pays to turn the sanitizer on.
-    """
-    def make_armed():
-        engine = Engine()
-        engine.schedule_interceptor = lambda fn, label: fn
-        return engine
+    t0 = time.perf_counter()
+    cluster = make_chiba(nnodes=4, seed=seed, ktau=ktau)
+    mon = ClusterMonitor(cluster, monitor) if monitor is not None else None
+    if faults:
+        FaultInjector(cluster, FaultPlan("bench-empty")).arm()
+    job = launch_mpi_job(cluster, 8, lu_app(SWEEP_LU),
+                         placement=block_placement(2, 8),
+                         node_setup=mon.attach_node if mon else None)
+    job.run(limit_s=600)
+    payload = profiles_to_json(harvest_job(job))
+    if mon is not None:
+        mon.harvest()
+    cluster.teardown()
+    return time.perf_counter() - t0, payload
 
-    ab = _interleaved({
-        "detached": lambda: _churn(events),
-        "armed_passthrough": lambda: _churn(events, make_armed),
-    }, rounds)
-    det, armed = ab["detached"], ab["armed_passthrough"]
-    return {
-        "events": events,
-        "rounds": rounds,
-        "detached_min_s": det["min_s"],
-        "armed_passthrough_min_s": armed["min_s"],
-        "armed_overhead_pct": 100.0 * (armed["min_s"] - det["min_s"])
-        / det["min_s"],
-    }
+
+def _lu_ab(rounds: int, off: dict, on: dict
+           ) -> tuple[list[tuple[float, str]], list[tuple[float, str]]]:
+    """:func:`_lu_run` with options ``off`` vs ``on``, interleaved."""
+    a: list[tuple[float, str]] = []
+    b: list[tuple[float, str]] = []
+    for _ in range(rounds):
+        a.append(_lu_run(**off))
+        b.append(_lu_run(**on))
+    return a, b
 
 
 def _lu_replication(seed: int) -> str:
     """One LU replication; returns the canonical profile JSON."""
-    cluster = make_chiba(nnodes=4, seed=seed)
-    job = launch_mpi_job(cluster, 8, lu_app(SWEEP_LU),
-                         placement=block_placement(2, 8))
-    job.run(limit_s=600)
-    data = harvest_job(job)
-    cluster.teardown()
-    return profiles_to_json(data)
+    return _lu_run(seed=seed)[1]
 
 
 def bench_parallel_sweep(nreps: int, worker_counts: tuple[int, ...]) -> dict:
@@ -415,99 +417,42 @@ def bench_obs_overhead(events: int, rounds: int) -> dict:
     }
 
 
-def bench_monitor_overhead(events: int, rounds: int) -> dict:
-    """Churn mean with a live cluster monitor in the process vs without.
+def bench_monitor_overhead(rounds: int) -> dict:
+    """LU wall time with a live cluster monitor vs without.
 
-    The monitor observes at KTAUD extraction points, never inside the
-    engine dispatch loop, so ``overhead_pct`` (the <5% acceptance row)
-    should be measurement noise.  The ``lu_*`` fields record the real
-    cost of monitoring an application run: the per-node daemons are
-    simulated processes whose extraction reads cost virtual CPU, plus
-    the host-side interval/detection work per snapshot.
+    The per-node daemons are simulated processes whose extraction reads
+    cost virtual CPU, plus the host-side interval/detection work per
+    snapshot: ``lu_overhead_pct`` is the real cost of monitoring.
     """
-    from repro.monitor import ClusterMonitor, MonitorConfig
+    from repro.monitor import MonitorConfig
 
-    off = _churn_stats(events, rounds)
-    cluster = make_chiba(nnodes=4, seed=1)
-    monitor = ClusterMonitor(cluster, MonitorConfig(period_ns=10 * MSEC))
-    monitor.attach()
-    try:
-        on = _churn_stats(events, rounds)
-    finally:
-        cluster.teardown()
-
-    def lu_run(monitored: bool) -> float:
-        t0 = time.perf_counter()
-        c = make_chiba(nnodes=4, seed=1)
-        mon = ClusterMonitor(c, MonitorConfig(period_ns=10 * MSEC)) \
-            if monitored else None
-        job = launch_mpi_job(c, 8, lu_app(SWEEP_LU),
-                             placement=block_placement(2, 8),
-                             node_setup=mon.attach_node if mon else None)
-        job.run(limit_s=600)
-        if mon is not None:
-            mon.harvest()
-        c.teardown()
-        return time.perf_counter() - t0
-
-    plain = min(lu_run(False) for _ in range(rounds))
-    monitored = min(lu_run(True) for _ in range(rounds))
+    plain, monitored = _lu_ab(
+        rounds, {}, {"monitor": MonitorConfig(period_ns=10 * MSEC)})
+    plain_s = min(t for t, _ in plain)
+    monitored_s = min(t for t, _ in monitored)
     return {
-        "events": events,
         "rounds": rounds,
-        "min_s_monitor_off": off["min_s"],
-        "min_s_monitor_on": on["min_s"],
-        "overhead_pct": 100.0 * (on["min_s"] - off["min_s"])
-        / off["min_s"],
-        "lu_plain_wall_s": plain,
-        "lu_monitored_wall_s": monitored,
-        "lu_overhead_pct": 100.0 * (monitored - plain) / plain,
+        "lu_plain_wall_s": plain_s,
+        "lu_monitored_wall_s": monitored_s,
+        "lu_overhead_pct": 100.0 * (monitored_s - plain_s) / plain_s,
     }
 
 
-def bench_faults_overhead(events: int, rounds: int) -> dict:
-    """Churn and LU wall time with the fault machinery detached vs armed
-    on an empty plan.
+def bench_faults_overhead(rounds: int) -> dict:
+    """LU wall time with the fault machinery detached vs armed on an
+    empty plan.
 
     An injector with no faults schedules no engine events and installs
     no delivery or wire hooks, so the simulation under measurement must
-    be untouched: both ``overhead_pct`` figures should be measurement
-    noise and ``lu_bit_identical_to_plain`` must be True (the armed
-    run's harvested profiles byte-compare against the plain run's).
+    be untouched: ``lu_overhead_pct`` should be measurement noise and
+    ``lu_bit_identical_to_plain`` must be True (the armed runs'
+    harvested profiles byte-compare against the plain run's).
     """
-    from repro.faults import FaultInjector, FaultPlan
-
-    off = _churn_stats(events, rounds)
-    cluster = make_chiba(nnodes=4, seed=1)
-    FaultInjector(cluster, FaultPlan("bench-empty")).arm()
-    try:
-        on = _churn_stats(events, rounds)
-    finally:
-        cluster.teardown()
-
-    def lu_run(armed: bool) -> tuple[float, str]:
-        t0 = time.perf_counter()
-        c = make_chiba(nnodes=4, seed=1)
-        if armed:
-            FaultInjector(c, FaultPlan("bench-empty")).arm()
-        job = launch_mpi_job(c, 8, lu_app(SWEEP_LU),
-                             placement=block_placement(2, 8))
-        job.run(limit_s=600)
-        payload = profiles_to_json(harvest_job(job))
-        c.teardown()
-        return time.perf_counter() - t0, payload
-
-    plain = [lu_run(False) for _ in range(rounds)]
-    armed = [lu_run(True) for _ in range(rounds)]
+    plain, armed = _lu_ab(rounds, {}, {"faults": True})
     plain_s = min(t for t, _ in plain)
     armed_s = min(t for t, _ in armed)
     return {
-        "events": events,
         "rounds": rounds,
-        "min_s_faults_off": off["min_s"],
-        "min_s_faults_armed": on["min_s"],
-        "overhead_pct": 100.0 * (on["min_s"] - off["min_s"])
-        / off["min_s"],
         "lu_plain_wall_s": plain_s,
         "lu_armed_wall_s": armed_s,
         "lu_overhead_pct": 100.0 * (armed_s - plain_s) / plain_s,
@@ -526,24 +471,12 @@ def bench_bottleneck_overhead(rounds: int) -> dict:
     ``profiles_bit_identical`` must be True: the attributed runs'
     harvested profiles byte-compare against the plain monitored run's.
     """
-    from repro.monitor import ClusterMonitor, MonitorConfig
+    from repro.monitor import MonitorConfig
 
-    def lu_run(top_k: int) -> tuple[float, str]:
-        t0 = time.perf_counter()
-        c = make_chiba(nnodes=4, seed=1)
-        mon = ClusterMonitor(c, MonitorConfig(period_ns=10 * MSEC,
-                                              bottleneck_top_k=top_k))
-        job = launch_mpi_job(c, 8, lu_app(SWEEP_LU),
-                             placement=block_placement(2, 8),
-                             node_setup=mon.attach_node)
-        job.run(limit_s=600)
-        payload = profiles_to_json(harvest_job(job))
-        mon.harvest()
-        c.teardown()
-        return time.perf_counter() - t0, payload
-
-    off = [lu_run(0) for _ in range(rounds)]
-    on = [lu_run(5) for _ in range(rounds)]
+    off, on = _lu_ab(
+        rounds,
+        {"monitor": MonitorConfig(period_ns=10 * MSEC, bottleneck_top_k=0)},
+        {"monitor": MonitorConfig(period_ns=10 * MSEC, bottleneck_top_k=5)})
     off_s = min(t for t, _ in off)
     on_s = min(t for t, _ in on)
     return {
@@ -567,22 +500,9 @@ def bench_counters_overhead(rounds: int) -> dict:
     """
     from repro.core.config import KtauBuildConfig
 
-    def lu_run(counters: bool) -> tuple[float, str]:
-        t0 = time.perf_counter()
-        c = make_chiba(nnodes=4, seed=1,
-                       ktau=KtauBuildConfig.full(counters=counters))
-        job = launch_mpi_job(c, 8, lu_app(SWEEP_LU),
-                             placement=block_placement(2, 8))
-        job.run(limit_s=600)
-        payload = profiles_to_json(harvest_job(job))
-        c.teardown()
-        return time.perf_counter() - t0, payload
-
-    off: list[tuple[float, str]] = []
-    on: list[tuple[float, str]] = []
-    for _ in range(rounds):  # interleaved A/B, same-minute baseline
-        off.append(lu_run(False))
-        on.append(lu_run(True))
+    off, on = _lu_ab(rounds,
+                     {"ktau": KtauBuildConfig.full(counters=False)},
+                     {"ktau": KtauBuildConfig.full(counters=True)})
     off_s = min(t for t, _ in off)
     on_s = min(t for t, _ in on)
 
@@ -660,13 +580,10 @@ def main(argv: list[str] | None = None) -> int:
         },
         "engine_churn": bench_engine_churn(churn_events, churn_rounds),
         "engine_cancel_churn": bench_cancel_churn(churn_events, churn_rounds),
-        "interceptor_overhead": bench_interceptor_overhead(churn_events,
-                                                           churn_rounds),
         "parallel_sweep": bench_parallel_sweep(nreps, worker_counts),
         "obs_overhead": bench_obs_overhead(churn_events, churn_rounds),
-        "monitor_overhead": bench_monitor_overhead(churn_events,
-                                                   churn_rounds),
-        "faults_overhead": bench_faults_overhead(churn_events, churn_rounds),
+        "monitor_overhead": bench_monitor_overhead(churn_rounds),
+        "faults_overhead": bench_faults_overhead(churn_rounds),
         "bottleneck_overhead": bench_bottleneck_overhead(churn_rounds),
         "counters_overhead": bench_counters_overhead(churn_rounds),
         "metrics": metrics_snapshot(churn_events),

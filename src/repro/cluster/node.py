@@ -16,11 +16,6 @@ class Node:
         self.index = index
         self.name = name
         self.kernel = kernel
-        #: shard identity: every piece of mutable simulation state this
-        #: node owns (kernel, scheduler, measurement, NIC) is reachable
-        #: only through this object, and the shard-isolation sanitizer
-        #: tags engine events with this id to prove it at run time
-        self.shard_id = index
         #: background system daemons started on this node
         self.daemons: list["Task"] = []
         #: application (MPI) tasks placed on this node

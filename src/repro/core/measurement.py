@@ -52,19 +52,6 @@ class InstrumentationImbalanceError(RuntimeError):
     """
 
 
-class ShardIsolationError(RuntimeError):
-    """Shard-isolation sanitizer: cross-node state access detected.
-
-    Raised by the opt-in :class:`~repro.cluster.shardsan.ShardIsolationSanitizer`
-    when code executing on behalf of one node touches another node's
-    measurement or scheduling state outside a declared exchange point.
-    The error class lives here (next to its strict-mode sibling
-    :class:`InstrumentationImbalanceError`) because the measurement layer
-    is the guarded state: per-task KTAU structures are the canonical
-    shard-local data the upcoming parallel engine must never share.
-    """
-
-
 class PerfData:
     """Profile counters for one entry/exit event in one task."""
 

@@ -18,9 +18,9 @@ first-class, *scheduled* part of a run:
   against a live cluster: every fault fires as an ordinary engine event,
   and with no plan armed none of its hooks exist (fault-free runs stay
   byte-identical — the BENCH overhead row).
-* :mod:`repro.faults.retry` — the shared bounded retry-with-backoff
-  policy degraded collection paths use (re-exported from
-  :mod:`repro.core.retry`).
+* :mod:`repro.core.retry` — the shared bounded retry-with-backoff
+  policy degraded collection paths use; its public names are
+  re-exported from this package.
 * :mod:`repro.faults.chaos` — named :class:`ChaosScenario` plans plus
   the invariants (:func:`evaluate`) a monitored run under each plan must
   satisfy: detection names exactly the faulted nodes, unfaulted nodes
@@ -40,8 +40,8 @@ from repro.faults.plan import (NODE_SCOPED_KINDS, WIRE_KINDS, ClockDrift,
                                KtaudHang, KtaudKill, LatencySpike, NodeCrash,
                                PacketLoss, ProcfsFlap, TracePressure,
                                WirePartition)
-from repro.faults.retry import (DEFAULT_POLICY, RetryExhaustedError,
-                                RetryPolicy, grow_and_retry, sized_read)
+from repro.core.retry import (DEFAULT_POLICY, RetryExhaustedError,
+                              RetryPolicy, grow_and_retry, sized_read)
 
 __all__ = [
     "ChaosCheck",

@@ -147,7 +147,7 @@ def _wire_partition(nnodes: int) -> ChaosScenario:
     return ChaosScenario(plan)
 
 
-#: (name, builder) registry — immutable, so it is not shard state.
+#: (name, builder) registry.
 SCENARIOS: tuple = (
     ("ktaud-kill", _ktaud_kill),
     ("collector-partition", _collector_partition),

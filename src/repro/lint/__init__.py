@@ -14,24 +14,18 @@ refactor that silently breaks one is caught at lint time:
   cross-reference (KTAU301-304);
 * :mod:`repro.lint.api` — ``__all__`` drift and architectural layering
   (KTAU401-402);
-* :mod:`repro.lint.sharing` — shared-mutable-state escape analysis with
-  an explicit allowlist manifest (:mod:`repro.lint.manifest`), proving
-  the shard-isolation prerequisite of parallel DES (KTAU501-504);
 * :mod:`repro.lint.imports` — the full module dependency graph: cycle
-  detection, transitive layering, and the shard-boundary property
-  (KTAU601-603);
+  detection and transitive layering (KTAU601-602);
 * :mod:`repro.lint.contexts` — lockdep-flavoured IRQ-context safety
   over a static call graph (:mod:`repro.lint.callgraph`): interrupt
   work never sleeps or context-switches directly (KTAU701-703).
 
-The static passes have dynamic twins: ``repro.core.measurement.Ktau``'s
-opt-in *strict mode* raises on activation-stack imbalance at run time,
-and :class:`repro.cluster.shardsan.ShardIsolationSanitizer` tags engine
-events with their owning node to catch cross-shard access the escape
-analysis reasons about.  Run the linter with ``python -m repro.lint
-[paths] [--format=text|json|sarif]`` or ``python -m repro lint``;
-suppress an individual finding with a ``# ktaulint: disable=RULE``
-comment on the flagged line.
+The balance pass has a dynamic twin: ``repro.core.measurement.Ktau``'s
+opt-in *strict mode* raises on activation-stack imbalance at run time.
+Run the linter with ``python -m repro.lint [paths]
+[--format=text|json|sarif]`` or ``python -m repro lint``; suppress an
+individual finding with a ``# ktaulint: disable=RULE`` comment on the
+flagged line.
 """
 
 from repro.lint.engine import LintEngine, ProjectRule, Rule, all_rules

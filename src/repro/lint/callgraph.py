@@ -30,6 +30,35 @@ from repro.lint.engine import SourceFile
 _FUNC_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
+def _import_map(tree: ast.Module, module: str, known: frozenset[str]
+                ) -> dict[str, tuple[str, Optional[str]]]:
+    """local name -> (source module, symbol or None for whole-module).
+
+    ``from pkg import sub`` binds the module ``pkg.sub`` when that is one
+    of the ``known`` (linted) modules, so ``sub.func()`` resolves exactly
+    like it would after ``import pkg.sub as sub``.
+    """
+    out: dict[str, tuple[str, Optional[str]]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                out[alias.asname or alias.name.split(".")[0]] = (
+                    alias.name, None)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # relative: resolve against this module
+                parts = module.split(".")
+                parts = parts[:len(parts) - node.level]
+                base = ".".join(parts + ([node.module] if node.module else []))
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                sub = f"{base}.{alias.name}"
+                out[alias.asname or alias.name] = (
+                    (sub, None) if sub in known else (base, alias.name))
+    return out
+
+
 class CallRef:
     """One unresolved call site inside a function body."""
 
@@ -79,13 +108,14 @@ class CallGraph:
         self.class_bases: dict[tuple[str, str], list[ast.expr]] = {}
         #: module -> {local name -> (module, symbol|None)}
         self.imports: dict[str, dict[str, tuple[str, Optional[str]]]] = {}
+        self._known = frozenset(self.sources)
         for src in sources:
             self._index_source(src)
 
     # -- construction -----------------------------------------------------
     def _index_source(self, src: SourceFile) -> None:
-        from repro.lint.sharing import _import_map
-        self.imports[src.module] = _import_map(src.tree, src.module)
+        self.imports[src.module] = _import_map(src.tree, src.module,
+                                               self._known)
         for node in src.tree.body:
             if isinstance(node, _FUNC_DEFS):
                 self._index_func(src, node, None)

@@ -207,7 +207,7 @@ def known_rule_ids() -> frozenset[str]:
 def _load_builtin_rules() -> None:
     """Import the rule modules (registration happens at import time)."""
     from repro.lint import (api, balance, contexts, determinism,  # noqa: F401
-                            imports, registry, sharing)
+                            imports, registry)
 
 
 class ParseError(Exception):

@@ -14,12 +14,6 @@ can see:
   an intermediary; the allowed set for transitive reachability is the
   closure of :data:`repro.lint.api.LAYER_DEPS`.  The finding carries the
   shortest offending chain as evidence.
-* **KTAU603** — shard-boundary breach.  ROADMAP item 1 requires all
-  mutable simulation state (engine, kernels, nodes, measurement) to be
-  reachable only through a per-node root object built at cluster
-  construction time.  A *module-level* instantiation of a shard-state
-  class creates simulation state at import time, owned by no node —
-  unshardable by construction.
 
 The graph itself is exported for humans: :func:`build_import_graph`
 feeds ``repro lint --graph-out`` / ``make lint-graph`` (Graphviz DOT,
@@ -34,17 +28,6 @@ from typing import Iterable, Optional, Sequence
 from repro.lint.api import LAYER_DEPS, _in_type_checking
 from repro.lint.engine import ProjectRule, SourceFile, register
 from repro.lint.findings import Finding, Severity
-
-#: class names whose instances are per-shard simulation state; resolved
-#: against classes actually defined under the shard substrate packages
-_SHARD_STATE_NAMES = {
-    "Engine", "Kernel", "Scheduler", "Scheduler24", "Task", "Node",
-    "Cluster", "Ktau", "Nic", "RngHub", "IrqController", "ClusterNetwork",
-}
-
-#: packages whose class definitions count as shard state
-_SHARD_STATE_PREFIXES = ("repro.sim", "repro.kernel", "repro.cluster",
-                        "repro.core")
 
 
 def _layer(module: str) -> Optional[str]:
@@ -231,21 +214,19 @@ def _layer_closure() -> dict[str, set[str]]:
 
 @register
 class ImportGraphRule(ProjectRule):
-    """KTAU601-603: graph properties of the run-time import relation."""
+    """KTAU601-602: graph properties of the run-time import relation."""
 
     rule_id = "KTAU601"
     name = "import-graph"
     severity = Severity.ERROR
-    description = ("import cycles, transitive layer violations, and "
-                   "import-time shard-state construction")
-    emits = ("KTAU601", "KTAU602", "KTAU603")
+    description = "import cycles and transitive layer violations"
+    emits = ("KTAU601", "KTAU602")
 
     def check_project(self, sources: Sequence[SourceFile]) -> Iterable[Finding]:
         by_module = {s.module: s for s in sources}
         graph = build_import_graph(sources)
         yield from self._check_cycles(_import_time_graph(graph), by_module)
         yield from self._check_transitive(graph, by_module)
-        yield from self._check_shard_boundary(sources)
 
     def _emit(self, rule_id: str, src: SourceFile, line: int,
               message: str) -> Finding:
@@ -319,98 +300,3 @@ class ImportGraphRule(ProjectRule):
                     f"transitive layer violation: repro.{layer} reaches "
                     f"'{target}' (layer '{tlayer}') via "
                     + " -> ".join(chain))
-
-    # -- KTAU603 ----------------------------------------------------------
-    def _check_shard_boundary(self, sources):
-        # Classes defined under the shard substrate with shard-state names.
-        shard_classes: set[tuple[str, str]] = set()
-        for src in sources:
-            if not (src.module.startswith(_SHARD_STATE_PREFIXES)
-                    or not src.module.startswith("repro")):
-                continue
-            for node in ast.walk(src.tree):
-                if (isinstance(node, ast.ClassDef)
-                        and node.name in _SHARD_STATE_NAMES):
-                    shard_classes.add((src.module, node.name))
-        if not shard_classes:
-            return
-        known = frozenset(s.module for s in sources)
-        all_imports = {s.module: self._symbol_imports(s, known)
-                       for s in sources}
-        # Propagate through re-exports: ``from repro.kernel.kernel import
-        # Kernel`` in repro/kernel/__init__.py makes (repro.kernel,
-        # Kernel) an alias of the shard class, so call sites that import
-        # from the package still resolve.
-        changed = True
-        while changed:
-            changed = False
-            for src in sources:
-                for local, (mod, sym) in all_imports[src.module].items():
-                    if (sym is not None and (mod, sym) in shard_classes
-                            and (src.module, local) not in shard_classes):
-                        shard_classes.add((src.module, local))
-                        changed = True
-        for src in sources:
-            imports = all_imports[src.module]
-            for stmt in src.tree.body:
-                value = None
-                if isinstance(stmt, ast.Assign):
-                    value = stmt.value
-                elif isinstance(stmt, ast.AnnAssign):
-                    value = stmt.value
-                if not isinstance(value, ast.Call):
-                    continue
-                resolved = self._resolve_class(src, imports, value.func,
-                                               shard_classes)
-                if resolved is None:
-                    continue
-                mod, cls = resolved
-                yield self._emit(
-                    "KTAU603", src, stmt.lineno,
-                    f"shard boundary: module-level instantiation of "
-                    f"{cls} (from {mod}) creates simulation state owned "
-                    f"by no node; construct it inside the cluster/node "
-                    f"build path instead")
-
-    @staticmethod
-    def _symbol_imports(source: SourceFile, known: frozenset[str]
-                        ) -> dict[str, tuple[str, Optional[str]]]:
-        """local name -> (module, symbol or None) for run-time imports."""
-        out: dict[str, tuple[str, Optional[str]]] = {}
-        guarded = _in_type_checking(source.tree)
-        for node in ast.walk(source.tree):
-            if id(node) in guarded:
-                continue
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    out[alias.asname or alias.name.split(".")[0]] = (
-                        alias.name, None)
-            elif isinstance(node, ast.ImportFrom):
-                base = (node.module or "") if node.level == 0 else \
-                    _resolve_relative(source.module, node.level, node.module)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    sub = f"{base}.{alias.name}"
-                    if sub in known:
-                        out[alias.asname or alias.name] = (sub, None)
-                    else:
-                        out[alias.asname or alias.name] = (base, alias.name)
-        return out
-
-    def _resolve_class(self, source, imports, func, shard_classes
-                       ) -> Optional[tuple[str, str]]:
-        if isinstance(func, ast.Name):
-            target = imports.get(func.id)
-            if target is not None and target[1] is not None \
-                    and (target[0], target[1]) in shard_classes:
-                return target
-            if (source.module, func.id) in shard_classes:
-                return source.module, func.id
-        elif isinstance(func, ast.Attribute) and isinstance(func.value,
-                                                            ast.Name):
-            target = imports.get(func.value.id)
-            if target is not None and target[1] is None \
-                    and (target[0], func.attr) in shard_classes:
-                return target[0], func.attr
-        return None

@@ -25,9 +25,7 @@ Hot-path design (the engine is the substrate every experiment pays for):
   ``_DEAD`` sentinel that sorts before any live entry, so events
   scheduled into the current bucket mid-drain can ``bisect.insort``
   straight into the pending region — FIFO ``(time, seq)`` order is
-  preserved bit-for-bit relative to the old heap.  A drained bucket is
-  also the natural per-shard slot boundary the conservative-parallel
-  roadmap item shards on.
+  preserved bit-for-bit relative to the old heap.
 * ``cancel()`` is a lazy delete: flag flip plus two counter increments.
   Dead entries are reclaimed when their bucket drains, or — when
   cancellations outnumber live events — by an amortized sweep checked
@@ -43,11 +41,7 @@ Hot-path design (the engine is the substrate every experiment pays for):
   approaches them.
 * Dispatch is specialized: :meth:`run` selects one of three loop
   variants (unbounded, ``until``-bounded, fully general) once per call,
-  and same-timestamp events batch into a single clock advance.  The
-  fault-injector/shardsan ``schedule_interceptor`` costs nothing when
-  detached: arming swaps the instance onto a subclass whose
-  ``schedule``/``schedule_at`` wrap the callback, so the detached
-  methods never even test for it.
+  and same-timestamp events batch into a single clock advance.
 * Fired and cancelled handles are recycled through a bounded free list.
   A handle is only pooled when the engine holds the *sole* remaining
   reference (checked via ``sys.getrefcount``), so callers that keep a
@@ -153,9 +147,9 @@ class Engine:
 
     __slots__ = ("now", "_seq", "_fired", "_cancels", "_cancelled_in_queue",
                  "_stopped", "_free", "_pool_misses", "_sweeps", "_recals",
-                 "_interceptor", "_shift", "_buckets", "_keys", "_cur",
-                 "_cur_idx", "_cur_key", "_far", "_far_horizon",
-                 "_drained_events", "_drained_buckets", "_obs_base")
+                 "_shift", "_buckets", "_keys", "_cur", "_cur_idx",
+                 "_cur_key", "_far", "_far_horizon", "_drained_events",
+                 "_drained_buckets", "_obs_base")
 
     def __init__(self) -> None:
         self.now: int = 0
@@ -172,10 +166,6 @@ class Engine:
         self._pool_misses: int = 0
         self._sweeps: int = 0
         self._recals: int = 0
-        #: the armed interceptor, exposed via the property below; the
-        #: schedule fast path never reads it (arming swaps the class).
-        self._interceptor: Optional[
-            Callable[[Callable[[], None], str], Callable[[], None]]] = None
 
         # Calendar-queue state.  Entries are (time, seq, handle) tuples
         # everywhere, so every comparison is a C-level tuple compare.
@@ -278,29 +268,6 @@ class Engine:
         else:
             heapq.heappush(self._far, (time, seq, handle))
         return handle
-
-    @property
-    def schedule_interceptor(self) -> Optional[
-            Callable[[Callable[[], None], str], Callable[[], None]]]:
-        """Optional hook wrapping every scheduled callback (used by the
-        shard-isolation sanitizer to tag events with an owning node).
-
-        Zero-cost when detached: assigning a hook swaps the instance onto
-        :class:`_InterceptedEngine`, whose ``schedule``/``schedule_at``
-        overrides wrap the callback; assigning ``None`` swaps back.  The
-        plain methods never test for the hook at all.
-        """
-        return self._interceptor
-
-    @schedule_interceptor.setter
-    def schedule_interceptor(self, hook: Optional[
-            Callable[[Callable[[], None], str], Callable[[], None]]]) -> None:
-        self._interceptor = hook
-        if hook is None:
-            if self.__class__ is _InterceptedEngine:
-                self.__class__ = Engine
-        else:
-            self.__class__ = _InterceptedEngine
 
     # ------------------------------------------------------------------
     # Bucket machinery
@@ -732,24 +699,3 @@ class Engine:
         """Times the bucket width was re-keyed (diagnostics)."""
         return self._recals
 
-
-class _InterceptedEngine(Engine):
-    """Engine variant with the schedule interceptor armed.
-
-    Instances never start as this class: assigning
-    :attr:`Engine.schedule_interceptor` swaps ``__class__`` (both classes
-    have identical slot layouts), so the hook costs two method overrides
-    while armed and exactly nothing while not.
-    """
-
-    __slots__ = ()
-
-    def schedule_at(self, time: int, fn: Callable[[], None], label: str = "") -> EventHandle:
-        return Engine.schedule_at(
-            self, time, self._interceptor(fn, label), label)  # type: ignore[misc]
-
-    def schedule(self, delay: int, fn: Callable[[], None], label: str = "") -> EventHandle:
-        if delay < 0:
-            raise ValueError(f"negative delay: {delay}")
-        return Engine.schedule_at(
-            self, self.now + delay, self._interceptor(fn, label), label)  # type: ignore[misc]

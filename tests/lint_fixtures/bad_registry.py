@@ -13,7 +13,7 @@ class Group(str, enum.Enum):
     NET = "net"
 
 
-POINT_GROUPS = {  # ktaulint: disable=KTAU501 — declaration table, fixture-local
+POINT_GROUPS = {
     "schedule": Group.SCHED,
     "tcp_sendmsg": Group.NET,
     "schedule": Group.SCHED,  # line 19: KTAU301 duplicate (event-ID collision)

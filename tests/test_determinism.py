@@ -6,6 +6,8 @@ safe, so the serial/parallel equivalence tests live here: the same sweep
 executed in-process and across worker processes must produce *identical*
 exported profiles and trace statistics."""
 
+import pytest
+
 from repro.analysis.export import profiles_to_json
 from repro.analysis.profiles import harvest_job
 from repro.cluster.launch import block_placement, launch_mpi_job
@@ -22,8 +24,8 @@ PARAMS = LuParams(niters=3, iter_compute_ns=8 * MSEC, halo_bytes=8192,
                   sweep_msg_bytes=2048, inorm=2)
 
 
-def run_once(seed):
-    cluster = make_chiba(nnodes=4, seed=seed)
+def run_once(seed, ktau=None):
+    cluster = make_chiba(nnodes=4, seed=seed, ktau=ktau)
     job = launch_mpi_job(cluster, 8, lu_app(PARAMS),
                          placement=block_placement(2, 8))
     job.run(limit_s=600)
@@ -55,9 +57,17 @@ def test_different_seed_differs():
     assert fingerprint(run_once(123)) != fingerprint(run_once(124))
 
 
-def test_back_to_back_runs_do_not_interfere():
+@pytest.mark.parametrize("between", [
+    None,
+    KtauBuildConfig.vanilla(),
+    KtauBuildConfig.full(tracing=True),
+    KtauBuildConfig.full(counters=True),
+], ids=["default", "vanilla", "tracing", "counters"])
+def test_back_to_back_runs_do_not_interfere(between):
+    # Process-wide state (intern tables, caches) must not leak between
+    # runs, whatever build the unrelated run in between used.
     first = fingerprint(run_once(5))
-    run_once(99)  # unrelated run in between
+    run_once(99, ktau=between)
     assert fingerprint(run_once(5)) == first
 
 

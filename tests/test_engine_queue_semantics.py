@@ -175,26 +175,3 @@ def test_recalibration_mid_run_preserves_order():
     assert fired == sorted(set(times))
     assert engine.recalibrations >= 1
 
-
-def test_interceptor_arm_disarm_roundtrip():
-    """Arming the schedule interceptor must wrap callbacks; disarming
-    must restore the plain engine with zero residue."""
-    engine = Engine()
-    base_cls = type(engine)
-    seen = []
-
-    def hook(fn, label):
-        def wrapped():
-            seen.append(label or "?")
-            fn()
-        return wrapped
-
-    fired = []
-    engine.schedule_interceptor = hook
-    engine.schedule(5, lambda: fired.append("a"), label="tagged")
-    engine.schedule_interceptor = None
-    assert type(engine) is base_cls  # class-swap fully reversed
-    engine.schedule(6, lambda: fired.append("b"), label="untagged")
-    engine.run_until_idle()
-    assert fired == ["a", "b"]
-    assert seen == ["tagged"]  # only the armed-window event was wrapped

@@ -39,7 +39,7 @@ PUBLIC_MODULES = [
     "repro.monitor.timeline", "repro.monitor.dashboard",
     "repro.monitor.bottleneck",
     "repro.faults", "repro.faults.plan", "repro.faults.injector",
-    "repro.faults.retry", "repro.faults.chaos",
+    "repro.faults.chaos",
     "repro.analysis", "repro.analysis.profiles", "repro.analysis.views",
     "repro.analysis.stats", "repro.analysis.cdf", "repro.analysis.histogram",
     "repro.analysis.tracemerge", "repro.analysis.tracestats",
