@@ -22,7 +22,8 @@ from typing import Optional
 from repro.core.procfs import KtauProcFS
 from repro.core.points import Group
 from repro.core.retry import DEFAULT_POLICY, RetryPolicy, grow_and_retry, sized_read
-from repro.core.wire import TaskProfileDump, TraceDump, unpack_profiles, unpack_trace
+from repro.core.wire import (MappingMemo, TaskProfileDump, TraceDump,
+                             unpack_profiles, unpack_trace)
 
 
 class Scope(enum.Enum):
@@ -53,6 +54,8 @@ class LibKtau:
         self._proc = proc
         self._self_pid = self_pid
         self._retry = retry
+        #: the node's mapping table as last decoded; it dies with the handle
+        self._mapping = MappingMemo()
 
     # ------------------------------------------------------------------
     # data retrieval
@@ -87,25 +90,25 @@ class LibKtau:
             lambda bufsize: self._proc.profile_read(
                 bufsize, want, include_zombies=include_zombies),
             self._retry, what="ktau profile read")
-        return unpack_profiles(data)
+        return unpack_profiles(data, self._mapping)
 
     def read_trace(self, pid: int, bufsize: Optional[int] = None) -> TraceDump:
         """Drain and decode ``pid``'s kernel trace buffer.
 
         Unlike profiles the drain is destructive, so there is no retry:
         the shared :func:`repro.core.retry.sized_read` helper sizes the
-        buffer (unless the caller passed one) and reads once; any
-        overflow is genuinely lost and surfaced via the dump.
+        buffer (unless the caller passed one) and reads once; records
+        that do not fit a short buffer are genuinely lost and counted in
+        the dump's ``lost``.
         """
         if bufsize is None:
-            data, full = sized_read(lambda: self._proc.trace_size(pid),
-                                    lambda n: self._proc.trace_read(pid, n))
+            data, _full = sized_read(lambda: self._proc.trace_size(pid),
+                                     lambda n: self._proc.trace_read(pid, n))
         else:
-            data, full = self._proc.trace_read(pid, bufsize)
+            data, _full = self._proc.trace_read(pid, bufsize)
         if not data:
             return TraceDump(pid=pid, lost=0)
-        dump = unpack_trace(data) if len(data) >= full else unpack_trace(data[:full])
-        return dump
+        return unpack_trace(data)
 
     # ------------------------------------------------------------------
     # kernel control

@@ -9,6 +9,11 @@ resource leaks from misbehaving clients.  Consequently a read with a buffer
 sized by an earlier ``size`` call can come back *truncated*, and clients
 (libKtau) must detect that and retry with a larger buffer.  Tests exercise
 this race explicitly.
+
+A size call computes the packed length from the layout (entry counts and
+string lengths), as a kernel sizes a buffer from its counts; only a read
+serialises.  The event-mapping table, which changes only when a point
+binds, is encoded once per registry state and reused.
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ class KtauProcFS:
         #: faulted runs stay deterministic.  Always False when no fault
         #: plan is armed — the check is a single attribute test.
         self.failing = False
+        #: (bound point count, encoded mapping table) of the last encode
+        self._mapping: tuple[int, bytes] = (-1, b"")
 
     def _check_transient(self) -> None:
         if self.failing:
@@ -62,7 +69,8 @@ class KtauProcFS:
         """
         self._check_transient()
         snap = self._ktau.snapshot(pids, include_zombies=include_zombies)
-        return len(wire.pack_profiles(snap, self._ktau.registry))
+        return wire.profiles_size(snap, self._ktau.registry,
+                                  self._mapping_table())
 
     def profile_read(self, bufsize: int, pids: Optional[list[int]] = None,
                      include_zombies: bool = False) -> tuple[bytes, int]:
@@ -74,7 +82,8 @@ class KtauProcFS:
         """
         self._check_transient()
         snap = self._ktau.snapshot(pids, include_zombies=include_zombies)
-        packed = wire.pack_profiles(snap, self._ktau.registry)
+        packed = wire.pack_profiles(snap, self._ktau.registry,
+                                    self._mapping_table())
         return packed[:bufsize], len(packed)
 
     # ------------------------------------------------------------------
@@ -86,25 +95,35 @@ class KtauProcFS:
         data = self._task_data(pid)
         if data is None or data.trace is None:
             return 0
-        return len(wire.pack_trace(pid, data.trace.lost_count, data.trace.peek(),
-                                   self._ktau.registry))
+        return wire.trace_size(data.trace.peek(), self._ktau.registry)
 
     def trace_read(self, pid: int, bufsize: int) -> tuple[bytes, int]:
         """Drain and return ``pid``'s trace buffer (destructive read).
 
-        If the packed drain exceeds ``bufsize`` the *entire* drain is still
-        consumed but only ``bufsize`` bytes are returned — records beyond
-        the buffer are lost, as with any fixed buffer handed to the kernel.
-        The full size is returned so clients can detect the loss.
+        Returns ``(data, full_size)``.  If the packed drain exceeds
+        ``bufsize``, the whole drain is still consumed but ``data`` holds
+        only the leading records that fit (a complete, decodable buffer);
+        the rest are counted as lost, in the buffer's cumulative
+        ``lost_count`` and so in ``data``'s header, and ``full_size``
+        reports the size the whole drain needed.  A buffer too small for
+        even an empty trace drains nothing and returns ``b""``.
         """
         self._check_transient()
         data = self._task_data(pid)
         if data is None or data.trace is None:
             return b"", 0
-        records = data.trace.drain()
-        packed = wire.pack_trace(pid, data.trace.lost_count, records,
-                                 self._ktau.registry)
-        return packed[:bufsize], len(packed)
+        trace = data.trace
+        registry = self._ktau.registry
+        if bufsize < wire.TRACE_MIN_SIZE:
+            return b"", wire.trace_size(trace.peek(), registry)
+        records = trace.drain()
+        packed = wire.pack_trace(pid, trace.lost_count, records, registry)
+        if len(packed) <= bufsize:
+            return packed, len(packed)
+        kept = wire.trace_fit(records, registry, bufsize)
+        trace.note_lost(len(records) - kept)
+        return (wire.pack_trace(pid, trace.lost_count, records[:kept],
+                                registry), len(packed))
 
     # ------------------------------------------------------------------
     # control ioctl (libKtau kernel-control path)
@@ -129,6 +148,13 @@ class KtauProcFS:
         return self._ktau.total_overhead_cycles
 
     # ------------------------------------------------------------------
+    def _mapping_table(self) -> bytes:
+        """The encoded mapping table, re-encoded only after a bind."""
+        bound = self._ktau.registry.bound_count
+        if self._mapping[0] != bound:
+            self._mapping = (bound, wire.pack_mapping(self._ktau.registry))
+        return self._mapping[1]
+
     def _task_data(self, pid: int):
         data = self._ktau.tasks.get(pid)
         if data is None:

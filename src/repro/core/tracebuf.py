@@ -8,19 +8,23 @@ this out explicitly, and tests exercise it.
 
 Hot-path note: tracing doubles the per-event measurement work, so
 :meth:`TraceBuffer.append` batches — records land in a plain pending list
-(one ``list.append`` per record) and are folded into the ring in bulk,
-with slice assignment instead of per-record modulo arithmetic, when the
-batch fills or the buffer is read.  Every observable (``peek``, ``drain``,
-``len``, ``lost_count``, ``total_records``) flushes first, so the
-batching is invisible to clients; strict mode bypasses it entirely so
+(one ``list.append`` per record) and are folded into the ring in bulk
+when the batch fills or the buffer is read.  Every observable (``peek``,
+``drain``, ``len``, ``lost_count``, ``total_records``) flushes first, so
+the batching is invisible to clients; strict mode bypasses it entirely so
 overflow raises at the exact offending append.
+
+The ring is grown lazily: it starts empty and is extended batch by batch,
+becoming a fixed ``capacity``-slot ring (overwritten by slice assignment)
+only once it fills without a drain.  A drain hands the storage to the
+reader and starts empty again, so a task that is drained often, or never
+traces much, never pays for ``capacity`` slots.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
 class TraceKind(enum.IntEnum):
@@ -31,8 +35,7 @@ class TraceKind(enum.IntEnum):
     ATOMIC = 2
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One trace-buffer record.
 
     ``cycles`` is the node-local TSC timestamp; ``event_id`` indexes the
@@ -74,9 +77,10 @@ class TraceBuffer:
             raise ValueError("trace buffer capacity must be positive")
         self.capacity = capacity
         self.strict = strict
-        self._buf: list[TraceRecord | None] = [None] * capacity
-        self._head = 0  # next write slot
-        self._count = 0  # valid records currently in the ring
+        #: the buffered records; oldest first while growing, rotated by
+        #: ``_head`` once full (``len(_buf) == capacity``)
+        self._buf: list[TraceRecord] = []
+        self._head = 0  # oldest record / next overwrite slot when full
         self._lost = 0  # cumulative overwrites
         self._total = 0  # cumulative writes
         self._pending: list[TraceRecord] = []  # batched, not yet in the ring
@@ -88,14 +92,13 @@ class TraceBuffer:
         if self.strict:
             # Strict mode trades the batching away for an exact raise
             # point: the sanitizer must name the first offending append.
-            if self._count == self.capacity:
+            # It never wraps, so the ring only ever grows.
+            if len(self._buf) == self.capacity:
                 raise TraceOverflowError(
                     f"trace buffer overflow: capacity {self.capacity} "
                     f"reached, oldest record would be lost unread "
                     f"(total written: {self._total})")
-            self._count += 1
-            self._buf[self._head] = record
-            self._head = (self._head + 1) % self.capacity
+            self._buf.append(record)
             self._total += 1
             return
         pending = self._pending
@@ -109,23 +112,27 @@ class TraceBuffer:
         n = len(pending)
         if not n:
             return
-        cap = self.capacity
         self.flush_count += 1
         self._total += n
-        overflow = self._count + n - cap
-        if overflow > 0:
-            self._lost += overflow
-            self._count = cap
-        else:
-            self._count += n
+        self._pending = []
         buf = self._buf
-        head = self._head
+        cap = self.capacity
+        room = cap - len(buf)
+        if n <= room:
+            buf.extend(pending)
+            return
+        # Fill the ring, then overwrite the oldest records in place.
         i = 0
-        if n > cap:
+        if room:
+            buf.extend(pending[:room])
+            i = room
+        self._lost += n - i
+        head = self._head
+        if n - i > cap:
             # Only the last ``cap`` records survive; skip straight to
             # them, advancing head as if each dropped record was written.
+            head = (head + n - i - cap) % cap
             i = n - cap
-            head = (head + i) % cap
         while i < n:
             k = min(cap - head, n - i)
             buf[head:head + k] = pending[i:i + k]
@@ -134,7 +141,10 @@ class TraceBuffer:
                 head = 0
             i += k
         self._head = head
-        self._pending = []
+
+    def note_lost(self, n: int) -> None:
+        """Count ``n`` drained records the reader had no room for as lost."""
+        self._lost += n
 
     @property
     def lost_count(self) -> int:
@@ -150,23 +160,23 @@ class TraceBuffer:
 
     def __len__(self) -> int:
         self._flush()
-        return self._count
+        return len(self._buf)
 
     def peek(self) -> list[TraceRecord]:
         """Buffered records oldest-first, without removing them."""
         self._flush()
-        start = (self._head - self._count) % self.capacity
-        out: list[TraceRecord] = []
-        for i in range(self._count):
-            rec = self._buf[(start + i) % self.capacity]
-            assert rec is not None
-            out.append(rec)
-        return out
+        head = self._head
+        return self._buf[head:] + self._buf[:head]
 
     def drain(self) -> list[TraceRecord]:
         """Remove and return all buffered records, oldest-first."""
-        out = self.peek()
-        self._count = 0
+        self._flush()
+        out = self._buf
+        head = self._head
+        if head:
+            out = out[head:] + out[:head]
+        self._buf = []
+        self._head = 0
         return out
 
     def __iter__(self) -> Iterator[TraceRecord]:

@@ -1,9 +1,16 @@
 """Tests for the circular trace buffer."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.tracebuf import TraceBuffer, TraceKind, TraceRecord
+from repro.core.config import KtauBuildConfig
+from repro.core.measurement import Ktau
+from repro.core.tracebuf import (TraceBuffer, TraceKind, TraceOverflowError,
+                                 TraceRecord)
+from repro.sim.clock import CycleClock
+from repro.sim.engine import Engine
 
 
 def rec(i):
@@ -64,3 +71,79 @@ def test_property_last_capacity_records_survive(capacity, n):
     assert kept == expected
     assert buf.lost_count == max(0, n - capacity)
     assert buf.total_records == n
+
+
+class _RingModel:
+    """Reference semantics: an unbounded log of which the last
+    ``capacity`` unread records are kept."""
+
+    def __init__(self, capacity, strict):
+        self.capacity = capacity
+        self.strict = strict
+        self.held = []
+        self.lost = 0
+        self.total = 0
+
+    def append(self, record):
+        if self.strict and len(self.held) == self.capacity:
+            raise TraceOverflowError("full")
+        self.held.append(record)
+        self.total += 1
+        if len(self.held) > self.capacity:
+            self.held.pop(0)
+            self.lost += 1
+
+    def drain(self):
+        out, self.held = self.held, []
+        return out
+
+
+_OPS = st.lists(st.one_of(st.tuples(st.just("append"), st.integers(1, 300)),
+                          st.just(("drain", 0)), st.just(("peek", 0))),
+                max_size=12)
+
+
+@given(capacity=st.integers(1, 300), ops=_OPS, strict=st.booleans())
+def test_property_matches_reference_across_growth_and_wrap(capacity, ops,
+                                                           strict):
+    """Appends in batches that straddle the grow-to-wrap boundary, drains
+    that restart growth, and strict mode all match the reference."""
+    buf = TraceBuffer(capacity, strict=strict)
+    model = _RingModel(capacity, strict)
+    written = 0
+    for op, n in ops:
+        if op == "append":
+            for _ in range(n):
+                record = rec(written)
+                written += 1
+                try:
+                    model.append(record)
+                except TraceOverflowError:
+                    with pytest.raises(TraceOverflowError):
+                        buf.append(record)
+                    break
+                buf.append(record)
+        elif op == "drain":
+            assert buf.drain() == model.drain()
+        else:
+            assert buf.peek() == model.held
+        assert len(buf) == len(model.held)
+        assert buf.lost_count == model.lost
+        assert buf.total_records == model.total
+    assert list(buf) == model.held
+
+
+def test_registering_traced_tasks_allocates_lazily():
+    """A traced task's ring grows with its records: registering 64 tasks
+    with 1<<16-entry buffers must not allocate their slots up front."""
+    engine = Engine()
+    ktau = Ktau(CycleClock(engine, hz=1e9),
+                KtauBuildConfig(tracing=True, trace_buffer_entries=1 << 16))
+    tracemalloc.start()
+    try:
+        for pid in range(64):
+            ktau.register_task(pid, f"task{pid}")
+        current, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert current < 1 << 20

@@ -1,9 +1,9 @@
 """Fuzzing the decode paths: corrupted inputs must fail cleanly.
 
 libKtau parses buffers handed back by the kernel side; a truncated or
-corrupted buffer (short proc read, version skew) must raise
-:class:`~repro.core.wire.WireError` / ``ValueError`` — never crash with
-an arbitrary exception or loop.
+corrupted profile or trace buffer (short proc read, version skew) must
+raise :class:`~repro.core.wire.WireError` — never crash with an
+arbitrary exception or loop.  The ASCII parser raises ``ValueError``.
 """
 
 import pytest
@@ -52,7 +52,33 @@ def test_byte_corruption_never_crashes(pos, value):
     mutated[pos] = value
     try:
         wire.unpack_profiles(bytes(mutated))
-    except (wire.WireError, UnicodeDecodeError):
+    except wire.WireError:
+        pass  # rejected cleanly
+
+
+def packed_trace() -> bytes:
+    data = _KTAU.tasks[7]
+    return wire.pack_trace(7, 0, data.trace.peek(), _KTAU.registry)
+
+
+TRACE = packed_trace()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(TRACE) - 1))
+def test_trace_truncation_always_wire_error(cut):
+    with pytest.raises(wire.WireError):
+        wire.unpack_trace(TRACE[:cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(pos=st.integers(0, len(TRACE) - 1), value=st.integers(0, 255))
+def test_trace_byte_corruption_never_crashes(pos, value):
+    mutated = bytearray(TRACE)
+    mutated[pos] = value
+    try:
+        wire.unpack_trace(bytes(mutated))
+    except wire.WireError:
         pass  # rejected cleanly
 
 
