@@ -32,8 +32,11 @@ determinism suite pins this against a golden hash.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate
+from operator import attrgetter
+from typing import NamedTuple, Optional
 
 from repro.analysis.bottlenecks.harvest import RankTrace
 from repro.analysis.bottlenecks.waits import (IRQ_PREEMPTION, PREEMPTION,
@@ -194,13 +197,29 @@ def _attribute_stall(wait: WaitInterval,
     return best[1] if best is not None else None
 
 
-def _overlap_ns(a0: int, a1: int, b0: int, b1: int) -> int:
-    """Length of the intersection of two half-open ns intervals."""
-    return max(0, min(a1, b1) - max(a0, b0))
+class _WaitIndex(NamedTuple):
+    """One rank's waits arranged for overlap queries.
+
+    ``ordered`` is the waits stable-sorted by ``start_ns``, ``starts``
+    their starts and ``maxend`` the running maximum of their ends: the
+    waits overlapping ``[s, e)`` all lie in
+    ``ordered[bisect_right(maxend, s, 0, hi):hi]`` with
+    ``hi = bisect_left(starts, e)``.
+    """
+
+    ordered: list[WaitInterval]
+    starts: list[int]
+    maxend: list[int]
 
 
-def _blocker_activity(wait: WaitInterval,
-                      blocker_waits: list[WaitInterval],
+def _index_waits(waits: list[WaitInterval]) -> _WaitIndex:
+    """Build a rank's :class:`_WaitIndex` (once per report)."""
+    ordered = sorted(waits, key=attrgetter("start_ns"))
+    return _WaitIndex(ordered, [w.start_ns for w in ordered],
+                      list(accumulate((w.end_ns for w in ordered), max)))
+
+
+def _blocker_activity(wait: WaitInterval, blocker: _WaitIndex,
                       ) -> tuple[str, str, Optional[WaitInterval]]:
     """What was the blocking rank doing during ``wait``?
 
@@ -210,14 +229,17 @@ def _blocker_activity(wait: WaitInterval,
     largest-overlap interval's kernel path (``interval`` is that
     interval, ``None`` for compute — the caller recurses through it
     when it is itself a TCP receive stall).  Ties break in
-    :data:`_STATES` order, then earliest interval start, then path.
+    :data:`_STATES` order, then earliest interval start, then path,
+    then the blocker's own wait order (the index sort is stable).
+    Only the blocker's waits that can overlap ``wait`` are visited.
     """
-    span = wait.end_ns - wait.start_ns
+    s, e = wait.start_ns, wait.end_ns
     totals = {"preempted": 0, "waiting": 0}
     # state -> ((-overlap, start, path), interval)
     best: dict[str, tuple[tuple[int, int, str], WaitInterval]] = {}
-    for bw in blocker_waits:
-        ov = _overlap_ns(wait.start_ns, wait.end_ns, bw.start_ns, bw.end_ns)
+    hi = bisect_left(blocker.starts, e)
+    for bw in blocker.ordered[bisect_right(blocker.maxend, s, 0, hi):hi]:
+        ov = min(e, bw.end_ns) - max(s, bw.start_ns)
         if ov <= 0:
             continue
         state = ("preempted" if bw.kind in (PREEMPTION, IRQ_PREEMPTION)
@@ -226,7 +248,7 @@ def _blocker_activity(wait: WaitInterval,
         key = (-ov, bw.start_ns, bw.kernel_path)
         if state not in best or key < best[state][0]:
             best[state] = (key, bw)
-    compute_ns = max(0, span - totals["preempted"] - totals["waiting"])
+    compute_ns = max(0, e - s - totals["preempted"] - totals["waiting"])
     ranked = sorted(
         ((-(totals.get(state, 0) if state != "computing" else compute_ns),
           idx, state)
@@ -240,7 +262,7 @@ def _blocker_activity(wait: WaitInterval,
 
 def _resolve_root(wait: WaitInterval, owner: int,
                   by_rank: dict[int, RankTrace],
-                  rank_waits: dict[int, list[WaitInterval]],
+                  indexes: dict[int, _WaitIndex],
                   ) -> Optional[tuple[int, str, str]]:
     """Follow a TCP receive stall through the serialization cascade.
 
@@ -256,11 +278,11 @@ def _resolve_root(wait: WaitInterval, owner: int,
     current = wait
     rank = owner
     while True:
-        remote = _attribute_stall(current, list(by_rank[rank].msg_log))
-        if remote is None or remote not in rank_waits:
+        remote = _attribute_stall(current, by_rank[rank].msg_log)
+        if remote is None or remote not in indexes:
             return None if rank == owner else (rank, "waiting",
                                                current.kernel_path)
-        state, via, interval = _blocker_activity(current, rank_waits[remote])
+        state, via, interval = _blocker_activity(current, indexes[remote])
         if (state == "waiting" and interval is not None
                 and interval.kind == TCP_RECV_STALL
                 and remote not in visited):
@@ -280,6 +302,7 @@ def build_report(inputs: list[RankTrace], *, top_k: int = 10,
         rank_waits[rt.rank] = extract_waits(
             rt.merged, rank=rt.rank, node=rt.node, pid=rt.pid, hz=rt.hz,
             boot_offset_cycles=rt.boot_offset_cycles)
+    indexes = {rank: _index_waits(waits) for rank, waits in rank_waits.items()}
 
     kind_ns: dict[int, dict[str, int]] = {}
     path_direct: dict[tuple[str, str], tuple[int, int]] = {}
@@ -307,7 +330,7 @@ def build_report(inputs: list[RankTrace], *, top_k: int = 10,
             if wait.kind != TCP_RECV_STALL:
                 charge(path_direct, (wait.node, wait.kernel_path), span)
                 continue
-            resolved = _resolve_root(wait, rank, by_rank, rank_waits)
+            resolved = _resolve_root(wait, rank, by_rank, indexes)
             if resolved is None:
                 unattributed_stall_ns += span
                 charge(path_direct, (wait.node, wait.kernel_path), span)

@@ -91,60 +91,71 @@ def extract_waits(merged: list[MergedEvent], *, rank: int, node: str,
     """Reconstruct a rank's wait intervals from its merged timeline.
 
     Walks the timestamp-ordered merged events once, maintaining the user
-    and kernel call stacks, and emits a :class:`WaitInterval` for every
-    paired scheduling-wait span and every outermost IRQ frame.  Orphaned
-    exits (entry lost to circular-buffer wraparound) and unclosed
-    entries (trace ended mid-span) are silently dropped, mirroring
-    ``monitor.interval_view``'s tolerance of imperfect snapshots.
+    and kernel call stacks (each kernel frame carries its own path, and
+    per-name counts answer "is it on the stack?"), and emits a
+    :class:`WaitInterval` for every paired scheduling-wait span and every
+    outermost IRQ frame.  Orphaned exits (entry lost to circular-buffer
+    wraparound) and unclosed entries (trace ended mid-span) are silently
+    dropped, mirroring ``monitor.interval_view``'s tolerance of imperfect
+    snapshots.
     """
     waits: list[WaitInterval] = []
     user_stack: list[str] = []
-    # kernel stack frames: (name, entry cycles, user context, irq_root?)
-    kernel_stack: list[tuple[str, int, str, bool]] = []
+    # kernel stack frames: (name, entry cycles, user context, irq root?,
+    # ">"-joined path from the outermost frame down to this one)
+    kernel_stack: list[tuple[str, int, str, bool, str]] = []
+    # how many frames of each name are on the kernel stack, and how many
+    # of them are IRQ roots, so each membership test is one dict lookup
+    on_stack: dict[str, int] = {}
+    irq_depth = 0
 
-    for ev in merged:
-        if ev.layer == "user":
-            if ev.is_entry:
-                user_stack.append(ev.name)
-            elif user_stack and user_stack[-1] == ev.name:
+    for cycles, name, layer, is_entry, _value in merged:
+        if layer == "user":
+            if is_entry:
+                user_stack.append(name)
+            elif user_stack and user_stack[-1] == name:
                 user_stack.pop()
-            elif ev.name in user_stack:
-                while user_stack and user_stack[-1] != ev.name:
+            elif name in user_stack:
+                while user_stack and user_stack[-1] != name:
                     user_stack.pop()
                 if user_stack:
                     user_stack.pop()
             continue
 
-        if ev.is_entry:
-            irq_root = (ev.name in _IRQ_ROOTS
-                        and not any(f[3] for f in kernel_stack))
-            uctx = user_stack[-1] if user_stack else ""
-            kernel_stack.append((ev.name, ev.cycles, uctx, irq_root))
+        if is_entry:
+            irq_root = not irq_depth and name in _IRQ_ROOTS
+            irq_depth += irq_root
+            on_stack[name] = on_stack.get(name, 0) + 1
+            path = f"{kernel_stack[-1][4]}>{name}" if kernel_stack else name
+            kernel_stack.append((name, cycles,
+                                 user_stack[-1] if user_stack else "",
+                                 irq_root, path))
             continue
 
         # Kernel exit (or an atomic point, which never matches a frame).
-        if not any(f[0] == ev.name for f in kernel_stack):
+        if not on_stack.get(name):
             continue
         # Pop frames lost to truncation until the matching entry.
-        while kernel_stack and kernel_stack[-1][0] != ev.name:
-            kernel_stack.pop()
-        name, start_cycles, uctx, irq_root = kernel_stack.pop()
-        path = ">".join([f[0] for f in kernel_stack] + [name])
-        enclosing = [f[0] for f in kernel_stack]
+        while True:
+            frame = kernel_stack.pop()
+            on_stack[frame[0]] -= 1
+            irq_depth -= frame[3]
+            if frame[0] == name:
+                break
+        _name, start_cycles, uctx, irq_root, path = frame
 
-        kind: Optional[str] = None
         if name == "schedule_vol":
-            kind = (TCP_RECV_STALL if "tcp_recvmsg" in enclosing
+            kind = (TCP_RECV_STALL if on_stack.get("tcp_recvmsg")
                     else VOLUNTARY_WAIT)
         elif name == "schedule":
             kind = PREEMPTION
         elif irq_root:
             kind = IRQ_PREEMPTION
-        if kind is None:
+        else:
             continue
 
         start_ns = _to_global_ns(start_cycles, hz, boot_offset_cycles)
-        end_ns = _to_global_ns(ev.cycles, hz, boot_offset_cycles)
+        end_ns = _to_global_ns(cycles, hz, boot_offset_cycles)
         if end_ns <= start_ns:
             continue
         waits.append(WaitInterval(rank=rank, node=node, pid=pid, kind=kind,

@@ -11,15 +11,14 @@ process's context during the call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.tracebuf import TraceKind
 from repro.core.wire import TraceDump
 from repro.tau.profiler import TauProfileDump
 
 
-@dataclass(frozen=True)
-class MergedEvent:
+class MergedEvent(NamedTuple):
     """One event in a merged timeline."""
 
     cycles: int
@@ -29,31 +28,31 @@ class MergedEvent:
     value: int = 0
 
 
-def _tie_rank(event: MergedEvent) -> int:
-    """Ordering of same-timestamp events that preserves nesting.
+def merge_traces(udump: TauProfileDump, ktrace: TraceDump) -> list[MergedEvent]:
+    """Interleave one process's user and kernel traces by timestamp.
 
     Kernel events nest inside user events, so at an equal timestamp the
-    correct interval order is: kernel exits, user exits, user entries,
-    kernel entries.
+    order that preserves nesting is: kernel exits (and atomics), user
+    exits, user entries, kernel entries.  Each event's sort key is the
+    int ``(cycles << 2) | tie`` for that tie rank; the sort is stable,
+    so events with equal keys keep their stream order (user before
+    kernel, each in recording order).  Inside one stream an exit may
+    share its ``cycles`` with an entry recorded before it; the key puts
+    it first, which a plain merge of the two streams would not.
     """
-    if event.is_entry:
-        return 2 if event.layer == "user" else 3
-    return 0 if event.layer == "kernel" else 1
-
-
-def merge_traces(udump: TauProfileDump, ktrace: TraceDump) -> list[MergedEvent]:
-    """Interleave one process's user and kernel traces by timestamp."""
-    events: list[MergedEvent] = []
-    for cycles, name, is_entry in udump.trace:
-        events.append(MergedEvent(cycles, name, "user", is_entry))
-    for cycles, name, kind, value in ktrace.records:
-        if kind is TraceKind.ATOMIC:
-            events.append(MergedEvent(cycles, name, "kernel", False, value))
-        else:
-            events.append(MergedEvent(cycles, name, "kernel",
-                                      kind is TraceKind.ENTRY, value))
-    events.sort(key=lambda e: (e.cycles, _tie_rank(e)))
-    return events
+    new = tuple.__new__  # skips the NamedTuple's Python-level __new__
+    entry = TraceKind.ENTRY
+    events = [new(MergedEvent, (cycles, name, "user", is_entry, 0))
+              for cycles, name, is_entry in udump.trace]
+    keys = [(cycles << 2) | (2 if is_entry else 1)
+            for cycles, _name, is_entry in udump.trace]
+    events += [new(MergedEvent, (cycles, name, "kernel", kind is entry,
+                                 value))
+               for cycles, name, kind, value in ktrace.records]
+    keys += [(cycles << 2) | (3 if kind is entry else 0)
+             for cycles, _name, kind, _value in ktrace.records]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    return [events[i] for i in order]
 
 
 def events_within(merged: list[MergedEvent], routine: str,

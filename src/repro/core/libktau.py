@@ -17,6 +17,7 @@ what KTAUD uses).
 from __future__ import annotations
 
 import enum
+import json
 from typing import Optional
 
 from repro.core.procfs import KtauProcFS
@@ -24,6 +25,22 @@ from repro.core.points import Group
 from repro.core.retry import DEFAULT_POLICY, RetryPolicy, grow_and_retry, sized_read
 from repro.core.wire import (MappingMemo, TaskProfileDump, TraceDump,
                              unpack_profiles, unpack_trace)
+
+
+#: First line of the ASCII interchange form.  v2 quotes every name (v1
+#: split records on whitespace, so names with spaces did not survive).
+_ASCII_HEADER = "#ktau-ascii v2"
+
+#: Field types of each ASCII record, after its tag.
+_ASCII_FIELDS: dict[str, tuple[type, ...]] = {
+    "task": (int, str),
+    "perf": (str, str, int, int, int),
+    "atomic": (str, str, int, int, int, int),
+    "ctx": (str, str, int, int),
+    "cnt": (str, int, int, int, int, int, int),
+    "edge": (str, str, int, int),
+    "pmc": (int, int, int, int, int),
+}
 
 
 class Scope(enum.Enum):
@@ -137,29 +154,38 @@ class LibKtau:
     # ------------------------------------------------------------------
     @staticmethod
     def to_ascii(profiles: dict[int, TaskProfileDump]) -> str:
-        """Render decoded profiles to the line-oriented ASCII interchange form."""
-        lines: list[str] = ["#ktau-ascii v1"]
+        """Render decoded profiles to the line-oriented ASCII interchange form.
+
+        One record per line: a tag, then space-separated fields.  Names
+        are JSON string literals (``"my app"``, ``""``) with every
+        non-ASCII or control character escaped, so any name -- spaces,
+        quotes, line breaks, empty -- survives the round trip and the
+        output is pure ASCII; numbers are bare integers.
+        """
+        q = json.dumps
+        lines: list[str] = [_ASCII_HEADER]
         for pid in sorted(profiles):
             dump = profiles[pid]
-            lines.append(f"task {pid} {dump.comm}")
+            lines.append(f"task {pid} {q(dump.comm)}")
             for name in sorted(dump.perf):
                 count, incl, excl = dump.perf[name]
-                group = dump.groups.get(name, "")
-                lines.append(f"perf {name} {group} {count} {incl} {excl}")
+                group = q(dump.groups.get(name, ""))
+                lines.append(f"perf {q(name)} {group} {count} {incl} {excl}")
             for name in sorted(dump.atomic):
                 count, total, mn, mx = dump.atomic[name]
-                group = dump.groups.get(name, "")
-                lines.append(f"atomic {name} {group} {count} {total} {mn} {mx}")
+                group = q(dump.groups.get(name, ""))
+                lines.append(f"atomic {q(name)} {group} {count} {total} "
+                             f"{mn} {mx}")
             for (ctx, name) in sorted(dump.context_pairs):
                 count, excl = dump.context_pairs[(ctx, name)]
-                lines.append(f"ctx {ctx} {name} {count} {excl}")
+                lines.append(f"ctx {q(ctx)} {q(name)} {count} {excl}")
             for name in sorted(dump.counters):
                 count, cycles, insn, l2, minflt, majflt = dump.counters[name]
-                lines.append(f"cnt {name} {count} {cycles} {insn} {l2} "
+                lines.append(f"cnt {q(name)} {count} {cycles} {insn} {l2} "
                              f"{minflt} {majflt}")
             for (parent, name) in sorted(dump.edges):
                 count, incl = dump.edges[(parent, name)]
-                lines.append(f"edge {parent or '-'} {name} {count} {incl}")
+                lines.append(f"edge {q(parent)} {q(name)} {count} {incl}")
             if dump.pmc is not None:
                 lines.append("pmc " + " ".join(str(v) for v in dump.pmc))
         return "\n".join(lines) + "\n"
@@ -168,8 +194,8 @@ class LibKtau:
     def from_ascii(text: str) -> dict[int, TaskProfileDump]:
         """Parse the ASCII interchange form back into decoded profiles."""
         lines = text.splitlines()
-        if not lines or not lines[0].startswith("#ktau-ascii"):
-            raise ValueError("not a ktau ASCII dump")
+        if not lines or lines[0] != _ASCII_HEADER:
+            raise ValueError(f"not a ktau ASCII dump (want {_ASCII_HEADER!r})")
         profiles: dict[int, TaskProfileDump] = {}
         current: Optional[TaskProfileDump] = None
         for line in lines[1:]:
@@ -187,40 +213,46 @@ class LibKtau:
                           ) -> Optional[TaskProfileDump]:
         """Parse one ASCII record into ``profiles``; returns the (possibly
         new) current task dump."""
-        parts = line.split()
-        tag = parts[0]
+        tag, _, rest = line.partition(" ")
+        shape = _ASCII_FIELDS.get(tag)
+        if shape is None:
+            raise ValueError(f"unknown record tag {tag!r}")
+        decode = json.JSONDecoder().raw_decode
+        fields = []
+        pos = 0
+        while pos < len(rest):
+            if rest[pos] in "[{":  # never a field; deep nesting would recurse
+                raise ValueError("fields are names or integers")
+            value, pos = decode(rest, pos)
+            if pos < len(rest) and rest[pos] != " ":
+                raise ValueError("fields must be separated by a space")
+            pos += 1
+            fields.append(value)
+        if len(fields) != len(shape) or any(
+                type(v) is not t for v, t in zip(fields, shape)):
+            raise ValueError(f"{tag} record needs fields "
+                             f"{' '.join(t.__name__ for t in shape)}")
         if tag == "task":
-            pid = int(parts[1])
-            comm = parts[2] if len(parts) > 2 else ""
-            current = TaskProfileDump(pid=pid, comm=comm)
-            profiles[pid] = current
+            current = TaskProfileDump(pid=fields[0], comm=fields[1])
+            profiles[fields[0]] = current
         elif current is None:
             raise ValueError("record before any task line")
         elif tag == "perf":
-            name, group = parts[1], parts[2]
-            current.perf[name] = (int(parts[3]), int(parts[4]), int(parts[5]))
+            name, group, *values = fields
+            current.perf[name] = tuple(values)
             current.groups[name] = group
         elif tag == "atomic":
-            name, group = parts[1], parts[2]
-            current.atomic[name] = (int(parts[3]), int(parts[4]),
-                                    int(parts[5]), int(parts[6]))
+            name, group, *values = fields
+            current.atomic[name] = tuple(values)
             current.groups[name] = group
         elif tag == "ctx":
-            ctx, name = parts[1], parts[2]
-            current.context_pairs[(ctx, name)] = (int(parts[3]), int(parts[4]))
+            current.context_pairs[(fields[0], fields[1])] = tuple(fields[2:])
         elif tag == "cnt":
-            current.counters[parts[1]] = (int(parts[2]), int(parts[3]),
-                                          int(parts[4]), int(parts[5]),
-                                          int(parts[6]), int(parts[7]))
+            current.counters[fields[0]] = tuple(fields[1:])
         elif tag == "pmc":
-            if len(parts) != 6:
-                raise ValueError("pmc record needs 5 counter values")
-            current.pmc = tuple(int(v) for v in parts[1:6])
-        elif tag == "edge":
-            parent = "" if parts[1] == "-" else parts[1]
-            current.edges[(parent, parts[2])] = (int(parts[3]), int(parts[4]))
-        else:
-            raise ValueError(f"unknown record tag {tag!r}")
+            current.pmc = tuple(fields)
+        else:  # edge
+            current.edges[(fields[0], fields[1])] = tuple(fields[2:])
         return current
 
     @staticmethod

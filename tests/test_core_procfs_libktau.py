@@ -207,7 +207,37 @@ class TestAsciiConversion:
         with pytest.raises(ValueError):
             LibKtau.from_ascii("not a dump")
         with pytest.raises(ValueError):
-            LibKtau.from_ascii("#ktau-ascii v1\nperf before task 0 0 0 0\n")
+            LibKtau.from_ascii('#ktau-ascii v2\nperf "x" "" 0 0 0\n')
+        with pytest.raises(ValueError):  # a bare word is not a name
+            LibKtau.from_ascii('#ktau-ascii v2\ntask 1 "a"\nperf x "" 0 0 0\n')
+        with pytest.raises(ValueError):  # counts are integers
+            LibKtau.from_ascii('#ktau-ascii v2\ntask 1 "a"\nperf "x" "" 0 1.5 0\n')
+        with pytest.raises(ValueError):  # no arrays, however deep
+            LibKtau.from_ascii("#ktau-ascii v2\ntask 1 " + "[" * 100_000)
+
+    def test_from_ascii_rejects_other_versions(self):
+        with pytest.raises(ValueError):
+            LibKtau.from_ascii("#ktau-ascii v1\ntask 1 app\n")
+
+    def test_names_with_spaces_and_empty_names_roundtrip(self):
+        """Names are quoted: a comm with a space, an event with no group,
+        a context or call-graph parent with a space, an empty parent and
+        one literally named "-" all come back unchanged."""
+        dump = wire.TaskProfileDump(pid=7, comm="my app")
+        dump.perf["sys_read"] = (4, 5, 6)
+        dump.groups["sys_read"] = ""
+        dump.atomic["net bytes"] = (1, 2, 2, 2)
+        dump.groups["net bytes"] = "net work"
+        dump.context_pairs[("do work()", "schedule")] = (3, 9)
+        dump.counters["page fault"] = (1, 2, 3, 4, 5, 6)
+        dump.edges[("", "sys_read")] = (1, 5)
+        dump.edges[("-", "sys_read")] = (2, 7)
+        dump.edges[("U:do work()", 'say "hi"\n')] = (3, 8)
+        dump.pmc = (1, 2, 3, 4, 5)
+        text = LibKtau.to_ascii({7: dump, 8: wire.TaskProfileDump(8, "")})
+        assert text.isascii()
+        assert LibKtau.from_ascii(text) == {
+            7: dump, 8: wire.TaskProfileDump(8, "")}
 
     def test_format_profile_renders(self):
         engine, ktau, proc = make_stack()

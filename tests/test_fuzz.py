@@ -100,11 +100,32 @@ def test_arbitrary_bytes_rejected(junk):
     blacklist_categories=("Cs",), blacklist_characters="\r"),
     max_size=60), max_size=10))
 def test_ascii_parser_never_crashes(lines):
-    text = "#ktau-ascii v1\n" + "\n".join(lines)
+    text = "#ktau-ascii v2\n" + "\n".join(lines)
     try:
         LibKtau.from_ascii(text)
     except (ValueError, IndexError):
         pass  # malformed records rejected
+
+
+_NAMES = st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+                 max_size=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(comm=_NAMES, names=st.lists(_NAMES, max_size=4, unique=True),
+       group=_NAMES, ctx=_NAMES, parent=_NAMES)
+def test_ascii_roundtrip_of_arbitrary_names(comm, names, group, ctx, parent):
+    """Any name -- spaces, quotes, line breaks, empty -- round-trips."""
+    dump = wire.TaskProfileDump(pid=3, comm=comm)
+    for i, name in enumerate(names):
+        dump.perf[name] = (i, 2 * i, i)
+        dump.groups[name] = group
+        dump.context_pairs[(ctx, name)] = (i, i)
+        dump.edges[(parent, name)] = (1, i)
+        dump.counters[name] = (i, 1, 2, 3, 4, 5)
+    text = LibKtau.to_ascii({3: dump})
+    assert len(text.splitlines()) == 2 + 4 * len(names)
+    assert LibKtau.from_ascii(text) == {3: dump}
 
 
 def test_version_skew_rejected():
